@@ -1,13 +1,15 @@
 """Cohort data model, CSV ingestion, eligibility filtering, horizon labels.
 
-A cohort couples an immutable covariate schema with a list of patients.
+A cohort couples an immutable covariate schema with per-patient columns.
 Covariates are stored as a dense float matrix; binary covariates must be
-encoded 0/1 upstream, and missing values are rejected at ingestion.
+encoded 0/1 upstream, and missing or non-finite values are rejected at
+ingestion.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -55,76 +57,78 @@ class CovariateSchema:
             raise SchemaError(f"unknown covariate {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Patient:
-    id: str
-    covariates: tuple[float, ...]
-    treatment: int
-    event: int
-    time: float
-
-    def __post_init__(self):
-        if self.treatment not in (0, 1):
-            raise IntegrityError(f"patient {self.id}: treatment must be 0/1")
-        if self.event not in (0, 1):
-            raise IntegrityError(f"patient {self.id}: event must be 0/1")
-        if self.time < 0:
-            raise IntegrityError(f"patient {self.id}: time must be >= 0")
-
-
 class Cohort:
-    """Immutable collection of patients sharing one covariate schema."""
+    """Immutable cohort: one covariate schema plus per-patient columns.
 
-    def __init__(self, schema: CovariateSchema, patients: list[Patient]):
+    The columns are the ids, an n x L covariate matrix, and the treatment,
+    event and time arrays. They are validated once here and handed out as
+    read-only arrays, so callers select patients with boolean masks.
+    """
+
+    def __init__(self, schema: CovariateSchema, ids, covariates, treatment,
+                 event, time):
+        ids = np.array(ids, dtype=object)
+        X = np.array(covariates, dtype=float)
+        treatment = np.array(treatment)
+        event = np.array(event)
+        time = np.array(time, dtype=float)
+        n = ids.size
+        if X.shape != (n, len(schema)):
+            raise SchemaError(
+                f"expected a {n} x {len(schema)} covariate matrix, "
+                f"got shape {X.shape}")
+        if not treatment.shape == event.shape == time.shape == (n,):
+            raise SchemaError(f"treatment, event and time must each hold {n} values")
+        for bad, rule in ((~np.isin(treatment, (0, 1)), "treatment must be 0/1"),
+                          (~np.isin(event, (0, 1)), "event must be 0/1"),
+                          (time < 0, "time must be >= 0")):
+            if bad.any():
+                raise IntegrityError(f"patient {ids[bad.argmax()]}: {rule}")
         seen = set()
-        for p in patients:
-            if len(p.covariates) != len(schema):
-                raise SchemaError(
-                    f"patient {p.id}: expected {len(schema)} covariates, "
-                    f"got {len(p.covariates)}"
-                )
-            if p.id in seen:
-                raise IntegrityError(f"duplicate patient id {p.id!r}")
-            seen.add(p.id)
+        for pid in ids:
+            if pid in seen:
+                raise IntegrityError(f"duplicate patient id {pid!r}")
+            seen.add(pid)
         self.schema = schema
-        self.patients = tuple(patients)
+        self._ids = ids
+        self._X = X
+        self._treatment = treatment.astype(int)
+        self._event = event.astype(int)
+        self._time = time
+        for arr in (ids, X, self._treatment, self._event, time):
+            arr.flags.writeable = False
 
     def __len__(self):
-        return len(self.patients)
-
-    def __iter__(self):
-        return iter(self.patients)
+        return self._ids.size
 
     @property
     def ids(self) -> list[str]:
-        return [p.id for p in self.patients]
+        return self._ids.tolist()
 
     def covariate_matrix(self) -> np.ndarray:
-        if not self.patients:
-            return np.empty((0, len(self.schema)))
-        return np.array([p.covariates for p in self.patients], dtype=float)
+        return self._X
 
     def treatments(self) -> np.ndarray:
-        return np.array([p.treatment for p in self.patients], dtype=int)
+        return self._treatment
 
     def events(self) -> np.ndarray:
-        return np.array([p.event for p in self.patients], dtype=int)
+        return self._event
 
     def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.patients], dtype=float)
+        return self._time
+
+    def take(self, mask) -> "Cohort":
+        """The patients where the boolean mask is true, in cohort order."""
+        mask = np.asarray(mask, dtype=bool)
+        return Cohort(self.schema, self._ids[mask], self._X[mask],
+                      self._treatment[mask], self._event[mask], self._time[mask])
 
     def subset(self, ids) -> "Cohort":
         wanted = set(ids)
-        missing = wanted - set(self.ids)
+        missing = wanted.difference(self._ids)
         if missing:
             raise IntegrityError(f"unknown patient ids: {sorted(missing)}")
-        return Cohort(self.schema, [p for p in self.patients if p.id in wanted])
-
-    def by_id(self, pid: str) -> Patient:
-        for p in self.patients:
-            if p.id == pid:
-                return p
-        raise IntegrityError(f"unknown patient id {pid!r}")
+        return self.take([pid in wanted for pid in self._ids])
 
 
 @dataclass(frozen=True)
@@ -163,16 +167,17 @@ class EligibilityRule:
     def describe(self) -> str:
         return f"{self.field} {self.op} {self.value}"
 
-    def matches(self, patient: Patient, schema: CovariateSchema) -> bool:
+    def mask(self, cohort: Cohort) -> np.ndarray:
+        """Boolean array: which of the cohort's patients satisfy the rule."""
         if self.field == "time":
-            val = patient.time
-        elif self.field in schema.names:
-            val = patient.covariates[schema.index(self.field)]
+            values = cohort.times()
+        elif self.field in cohort.schema.names:
+            values = cohort.covariate_matrix()[:, cohort.schema.index(self.field)]
         else:
             raise SchemaError(f"eligibility rule references unknown field {self.field!r}")
         if self.op == "in":
-            return val in set(self.value)
-        return _COMPARATORS[self.op](val, self.value)
+            return np.isin(values, list(self.value))
+        return _COMPARATORS[self.op](values, self.value)
 
 
 @dataclass(frozen=True)
@@ -182,51 +187,53 @@ class EligibilityResult:
 
 
 def load_cohort(path, schema: CovariateSchema) -> Cohort:
-    """Parse a cohort CSV (id,treatment,event,time,<covariates>) against a schema."""
-    expected = list(RESERVED_COLUMNS) + list(schema.names)
+    """Parse a cohort CSV (id,treatment,event,time,<covariates>) against a schema.
+
+    Every numeric cell must be finite; treatment, event and binary
+    covariates must be exactly 0 or 1.
+    """
+    numeric = ("treatment", "event", "time") + schema.names
+    zero_one = {"treatment", "event"} | {
+        name for name, kind in zip(schema.names, schema.kinds) if kind == "binary"}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CohortParseError(f"{path}: empty file, expected header row") from None
-        for col in expected:
+        for col in ("id",) + numeric:
             if col not in header:
                 raise SchemaError(f"{path}: missing column {col!r}")
-        col_idx = {c: header.index(c) for c in expected}
-        patients = []
+        col_idx = [header.index(c) for c in numeric]
+        id_idx = header.index("id")
+        last = max(col_idx + [id_idx])
+        ids, rows = [], []
         for rownum, row in enumerate(reader, start=1):
             if not row:
                 continue
-
-            def cell(col, _row=row, _n=rownum):
-                raw = _row[col_idx[col]]
+            if len(row) <= last:
+                raise CohortParseError(
+                    f"{path}: row {rownum}: {len(row)} cells, header has {len(header)}")
+            values = []
+            for col, i in zip(numeric, col_idx):
+                raw = row[i]
                 try:
-                    return float(raw)
+                    v = float(raw)
                 except ValueError:
                     raise CohortParseError(
-                        f"{path}: row {_n}: non-numeric value {raw!r} in column {col!r}"
+                        f"{path}: row {rownum}: non-numeric value {raw!r} in column {col!r}"
                     ) from None
-
-            covs = []
-            for name, kind in zip(schema.names, schema.kinds):
-                v = cell(name)
-                if kind == "binary" and v not in (0.0, 1.0):
+                if not math.isfinite(v):
                     raise CohortParseError(
-                        f"{path}: row {rownum}: binary covariate {name!r} "
-                        f"must be 0/1, got {v}"
-                    )
-                covs.append(v)
-            patients.append(
-                Patient(
-                    id=row[col_idx["id"]],
-                    covariates=tuple(covs),
-                    treatment=int(cell("treatment")),
-                    event=int(cell("event")),
-                    time=cell("time"),
-                )
-            )
-    return Cohort(schema, patients)
+                        f"{path}: row {rownum}: non-finite value {raw!r} in column {col!r}")
+                if col in zero_one and v not in (0.0, 1.0):
+                    raise CohortParseError(
+                        f"{path}: row {rownum}: column {col!r} must be 0/1, got {raw!r}")
+                values.append(v)
+            ids.append(row[id_idx])
+            rows.append(values)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(numeric))
+    return Cohort(schema, ids, table[:, 3:], table[:, 0], table[:, 1], table[:, 2])
 
 
 def save_cohort(cohort: Cohort, path) -> None:
@@ -234,11 +241,10 @@ def save_cohort(cohort: Cohort, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in cohort:
-            writer.writerow(
-                [p.id, p.treatment, p.event, repr(p.time)]
-                + [repr(v) for v in p.covariates]
-            )
+        for pid, t, e, time, covs in zip(
+                cohort.ids, cohort.treatments().tolist(), cohort.events().tolist(),
+                cohort.times().tolist(), cohort.covariate_matrix().tolist()):
+            writer.writerow([pid, t, e, repr(time)] + [repr(v) for v in covs])
 
 
 def apply_eligibility(cohort: Cohort, rules: list[EligibilityRule]) -> EligibilityResult:
@@ -248,16 +254,12 @@ def apply_eligibility(cohort: Cohort, rules: list[EligibilityRule]) -> Eligibili
     once under each rule it fails.
     """
     exclusions = {rule.describe(): 0 for rule in rules}
-    kept = []
-    for p in cohort:
-        ok = True
-        for rule in rules:
-            if not rule.matches(p, cohort.schema):
-                exclusions[rule.describe()] += 1
-                ok = False
-        if ok:
-            kept.append(p)
-    return EligibilityResult(Cohort(cohort.schema, kept), exclusions)
+    keep = np.ones(len(cohort), dtype=bool)
+    for rule in rules:
+        ok = rule.mask(cohort)
+        exclusions[rule.describe()] += int((~ok).sum())
+        keep &= ok
+    return EligibilityResult(cohort.take(keep), exclusions)
 
 
 @dataclass(frozen=True)
@@ -272,17 +274,13 @@ class HorizonLabels:
 def binarize_at_horizon(cohort: Cohort, horizon: float) -> HorizonLabels:
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
-    ids, labels, excluded = [], [], []
-    for p in cohort:
-        if p.event == 1 and p.time <= horizon:
-            ids.append(p.id)
-            labels.append(1)
-        elif p.time > horizon:
-            ids.append(p.id)
-            labels.append(0)
-        else:  # censored before horizon: label unknowable without IPCW
-            excluded.append(p.id)
-    return HorizonLabels(tuple(ids), np.array(labels, dtype=int), tuple(excluded))
+    times = cohort.times()
+    event_by_horizon = (cohort.events() == 1) & (times <= horizon)
+    # censored before horizon: label unknowable without IPCW
+    known = event_by_horizon | (times > horizon)
+    return HorizonLabels(tuple(cohort._ids[known]),
+                         event_by_horizon[known].astype(int),
+                         tuple(cohort._ids[~known]))
 
 
 def load_trial_config(path, schema: CovariateSchema):

@@ -53,10 +53,9 @@ class RewardMatrix:
 
 def _arm_training_data(matched: Cohort, arm: int, horizon: float):
     """Event-free labels and features for one arm of the matched cohort."""
-    arm_patients = [p for p in matched if p.treatment == arm]
-    if not arm_patients:
+    arm_cohort = matched.take(matched.treatments() == arm)
+    if len(arm_cohort) == 0:
         raise InsufficientDataError(f"matched cohort has no arm-{arm} patients")
-    arm_cohort = Cohort(matched.schema, arm_patients)
     hl = binarize_at_horizon(arm_cohort, horizon)
     if len(hl.ids) == 0:
         raise InsufficientDataError(

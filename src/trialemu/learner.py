@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from .errors import (
     DegenerateModelError,
     InsufficientDataError,
     SchemaError,
-    UndefinedStatisticError,
 )
-from .survival_stats import harrell_c
 
 
 @dataclass(frozen=True)
@@ -205,39 +202,3 @@ def predict_prob(model: FittedEnsemble, features) -> np.ndarray:
     for tree in model.trees:
         acc += _predict_tree(tree, X)
     return acc / len(model.trees)
-
-
-def cross_validated_cindex(features, labels, times, config: LearnerConfig,
-                           folds: int) -> float:
-    """Mean held-out Harrell's C over a deterministic seeded fold split.
-
-    The fitted model's event probability is the risk score; labels double
-    as event indicators for the concordance computation.
-    """
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    t = np.asarray(times, dtype=float)
-    n = y.size
-    rng = np.random.default_rng([config.seed, 0xC7])
-    perm = rng.permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[perm] = np.arange(n) % folds
-
-    scores = []
-    for k in range(folds):
-        test = fold_of == k
-        train = ~test
-        if np.unique(y[train]).size < 2 or test.sum() < 2:
-            warnings.warn(f"fold {k} skipped: single-class or tiny split")
-            continue
-        model = fit(X[train], y[train], np.ones(train.sum()),
-                    replace(config, seed=config.seed + 1000 + k))
-        try:
-            scores.append(harrell_c(predict_prob(model, X[test]), t[test], y[test]))
-        except UndefinedStatisticError:
-            warnings.warn(f"fold {k} skipped: no comparable pairs")
-    if not scores:
-        raise UndefinedStatisticError("all cross-validation folds were skipped")
-    return float(np.mean(scores))

@@ -115,6 +115,9 @@ def load_pipeline_config(path, seed: int | None = None) -> PipelineConfig:
         p = Path(p)
         return str(p if p.is_absolute() else base / p)
 
+    def learner_from(section, default):
+        return replace(default, **{k: section[k] for k in section})
+
     try:
         entries = raw["covariates"]
         schema = CovariateSchema(
@@ -122,37 +125,30 @@ def load_pipeline_config(path, seed: int | None = None) -> PipelineConfig:
             kinds=tuple(e["kind"] for e in entries),
             units=tuple(e.get("unit", "") for e in entries),
         )
-        cohort_path = resolve(raw["cohort"])
-        trial_path = resolve(raw["trial"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from None
-
-    def learner_from(key, default):
-        section = raw.get(key) or {}
-        return replace(default, **{k: section[k] for k in section})
-
-    match = raw.get("match") or {}
-    tune = raw.get("tune") or {}
-    constrain = raw.get("constrain") or {}
-    tree = raw.get("tree") or {}
-    quotas = raw.get("quotas", "auto")
-    grid = []
-    for entry in tree.get("grid") or [{"max_depth": d} for d in (1, 2, 3)]:
-        grid.append(policy_tree.PolicyTreeConfig(
-            max_depth=int(entry.get("max_depth", 3)),
-            min_leaf=int(entry.get("min_leaf", tree.get("min_leaf", 20))),
-            local_search_passes=int(tree.get("local_search_passes", 2)),
-            lookahead_width=int(tree.get("lookahead_width", 16)),
-        ))
-    try:
+        match = raw.get("match") or {}
+        tune = raw.get("tune") or {}
+        constrain = raw.get("constrain") or {}
+        tree = raw.get("tree") or {}
+        quotas = raw.get("quotas", "auto")
+        grid = tuple(
+            policy_tree.PolicyTreeConfig(
+                max_depth=int(entry.get("max_depth", 3)),
+                min_leaf=int(entry.get("min_leaf", tree.get("min_leaf", 20))),
+                local_search_passes=int(tree.get("local_search_passes", 2)),
+                lookahead_width=int(tree.get("lookahead_width", 16)),
+            )
+            for entry in tree.get("grid") or [{"max_depth": d} for d in (1, 2, 3)]
+        )
         return PipelineConfig(
-            cohort_path=cohort_path,
-            trial_path=trial_path,
+            cohort_path=resolve(raw["cohort"]),
+            trial_path=resolve(raw["trial"]),
             schema=schema,
             seed=int(raw.get("seed", 0)) if seed is None else int(seed),
-            learner_config=learner_from("learner", learner.LearnerConfig()),
+            learner_config=learner_from(
+                raw.get("learner") or {}, learner.LearnerConfig()),
             counterfactual_config=learner_from(
-                "counterfactual_learner", learner.LearnerConfig(bootstrap=False)),
+                raw.get("counterfactual_learner") or {},
+                learner.LearnerConfig(bootstrap=False)),
             boundaries=tuple(float(b) for b in raw.get(
                 "buckets", (0.0, 0.25, 0.5, 0.75, 1.0))),
             quotas=None if quotas == "auto" else tuple(int(q) for q in quotas),
@@ -168,10 +164,12 @@ def load_pipeline_config(path, seed: int | None = None) -> PipelineConfig:
             constrain_factor=(None if constrain.get("factor") is None
                               else float(constrain["factor"])),
             constrain_direction=constrain.get("direction", "favor-treatment"),
-            tree_grid=tuple(grid),
+            tree_grid=grid,
             min_effect=float(tree.get("min_effect", 0.05)),
         )
-    except TypeError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing required key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -237,50 +235,21 @@ def _matched_cohort(config: PipelineConfig, out: Path) -> Cohort:
     return eligible.subset(matched_ids)
 
 
-def _tree_from_artifact(out: Path) -> policy_tree.PolicyTree:
-    doc = _read_json(out / "tree.json")
-
-    def decode(raw):
-        if "feature" in raw:
-            nd = policy_tree.Node(feature=raw["feature"],
-                                  threshold=raw["threshold"],
-                                  left=decode(raw["left"]),
-                                  right=decode(raw["right"]))
-        else:
-            nd = policy_tree.Node(arm=raw["treatment"], n=raw["n"],
-                                  mean_r0=raw["mean_reward_control"],
-                                  mean_r1=raw["mean_reward_treatment"])
-        nd.node_id = raw["id"]
-        return nd
-
-    root = decode(doc["tree"])
-    tree = policy_tree.PolicyTree(
-        root=root, config=policy_tree.PolicyTreeConfig(),
-        n_features=doc["n_features"], training_value=doc["training_value"])
-    queue = [root]
-    while queue:
-        nd = queue.pop(0)
-        tree.nodes.append(nd)
-        if not nd.is_leaf:
-            queue.extend([nd.left, nd.right])
-    return tree
-
-
 def _build_problem(config: PipelineConfig, eligible: Cohort, risks: dict,
                    quotas=None) -> stratify_match.MatchProblem:
     target, _rules = load_trial_config(config.trial_path, config.schema)
-    treated = [p for p in eligible if p.treatment == 1]
-    untreated = [p for p in eligible if p.treatment == 0]
     spec = stratify_match.BucketSpec(config.boundaries)
     if quotas is not None:
         spec = spec.with_quotas(quotas)
+    treated = eligible.take(eligible.treatments() == 1)
+    untreated = eligible.take(eligible.treatments() == 0)
     return stratify_match.MatchProblem(
-        treated_ids=tuple(p.id for p in treated),
-        treated_risks=np.array([risks[p.id] for p in treated]),
-        treated_X=np.array([p.covariates for p in treated]),
-        untreated_ids=tuple(p.id for p in untreated),
-        untreated_risks=np.array([risks[p.id] for p in untreated]),
-        untreated_X=np.array([p.covariates for p in untreated]),
+        treated_ids=tuple(treated.ids),
+        treated_risks=np.array([risks[pid] for pid in treated.ids]),
+        treated_X=treated.covariate_matrix(),
+        untreated_ids=tuple(untreated.ids),
+        untreated_risks=np.array([risks[pid] for pid in untreated.ids]),
+        untreated_X=untreated.covariate_matrix(),
         buckets=spec,
         target=target,
         covariate_names=config.schema.names,
@@ -310,7 +279,7 @@ def _stage_stratify(config: PipelineConfig, out: Path):
     _require(out, "eligible.csv")
     eligible = load_cohort(out / "eligible.csv", config.schema)
     target, _rules = load_trial_config(config.trial_path, config.schema)
-    untreated = Cohort(config.schema, [p for p in eligible if p.treatment == 0])
+    untreated = eligible.take(eligible.treatments() == 0)
     if len(untreated) == 0:
         raise InsufficientDataError("no untreated patients to fit the risk model")
     hl = binarize_at_horizon(untreated, target.horizon_months)
@@ -527,7 +496,8 @@ def _stage_validate(config: PipelineConfig, out: Path):
              "tree.json")
     matched = _matched_cohort(config, out)
     matrix = _load_rewards(out, "rewards_constrained.csv")
-    tree = _tree_from_artifact(out)
+    tree = policy_tree.PolicyTree.from_json(
+        (out / "tree.json").read_text(encoding="utf-8"))
     X = matched.covariate_matrix()
     arms, leaf_ids = policy_tree.assign(tree, X)
 
@@ -594,8 +564,21 @@ _STAGE_FUNCS = {
 
 # --- orchestration ----------------------------------------------------------
 
+def _input_sha256(path) -> str:
+    try:
+        return _sha256(Path(path))
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read input file {path}: {exc.strerror or exc}") from None
+
+
 def _config_digest(config: PipelineConfig) -> str:
-    doc = json.dumps(config.describe(), sort_keys=True)
+    """Digest of the config and of the cohort and trial file contents, so a
+    changed input invalidates every recorded stage."""
+    doc = json.dumps(dict(config.describe(),
+                          cohort_sha256=_input_sha256(config.cohort_path),
+                          trial_sha256=_input_sha256(config.trial_path)),
+                     sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 

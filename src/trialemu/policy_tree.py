@@ -93,6 +93,26 @@ class PolicyTree:
             sort_keys=True,
         )
 
+    @classmethod
+    def from_json(cls, doc: str) -> "PolicyTree":
+        """Inverse of ``to_json``. The fitting config is not serialized, so
+        the decoded tree carries the default one."""
+        raw = json.loads(doc)
+
+        def dec(node):
+            if "feature" in node:
+                return Node(feature=node["feature"], threshold=node["threshold"],
+                            left=dec(node["left"]), right=dec(node["right"]))
+            return Node(arm=node["treatment"], n=node["n"],
+                        mean_r0=node["mean_reward_control"],
+                        mean_r1=node["mean_reward_treatment"])
+
+        tree = cls(root=dec(raw["tree"]), config=PolicyTreeConfig(),
+                   n_features=raw["n_features"],
+                   training_value=raw["training_value"])
+        _number_nodes(tree)
+        return tree
+
     def render_text(self, feature_names=None) -> str:
         names = feature_names or [f"x{f}" for f in range(self.n_features)]
         lines = []

@@ -1,8 +1,8 @@
 """Survival statistics and confounding audits.
 
 Kaplan-Meier product-limit curves, two-group log-rank test, median
-survival, Harrell's concordance index, the MSK clinical risk score and
-JHH GAME score, and per-node treatment balance tests.
+survival, the MSK clinical risk score and JHH GAME score, and per-node
+treatment balance tests.
 """
 
 from __future__ import annotations
@@ -120,37 +120,6 @@ def logrank(times0, events0, times1, events1):
         return 0.0, 1.0
     stat = o_minus_e**2 / var
     return float(stat), chi2_sf_1df(stat)
-
-
-def harrell_c(scores, times, events) -> float:
-    """Concordance index with risk orientation: higher score, shorter time.
-
-    A pair is comparable iff the smaller time carries an event; score ties
-    count one half.
-    """
-    scores = np.asarray(scores, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    if not (scores.size == times.size == events.size):
-        raise ValueError("scores, times, events must have equal length")
-    n = scores.size
-    concordant = 0.0
-    comparable = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if times[i] == times[j]:
-                continue
-            first, second = (i, j) if times[i] < times[j] else (j, i)
-            if events[first] != 1:
-                continue
-            comparable += 1
-            if scores[first] > scores[second]:
-                concordant += 1.0
-            elif scores[first] == scores[second]:
-                concordant += 0.5
-    if comparable == 0:
-        raise UndefinedStatisticError("harrell_c: no comparable pairs")
-    return concordant / comparable
 
 
 @dataclass(frozen=True)

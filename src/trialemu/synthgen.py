@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .cohort import Cohort, CovariateSchema, Patient, TrialTarget
+from .cohort import Cohort, CovariateSchema, TrialTarget
 from .errors import ConfigError
 from .survival_stats import km_curve
 
@@ -171,22 +171,9 @@ def _simulate(config: DGPConfig, rng, n: int, randomized: bool, id_prefix: str):
     time = np.minimum(event_time, censor_time)
     event = (event_time <= censor_time).astype(int)
 
-    patients = [
-        Patient(
-            id=f"{id_prefix}{i:05d}",
-            covariates=tuple(float(v) for v in X[i]),
-            treatment=int(treated[i]),
-            event=int(event[i]),
-            time=float(time[i]),
-        )
-        for i in range(n)
-    ]
-    cohort = Cohort(config.schema(), patients)
-    truth = GroundTruth(
-        ids=tuple(p.id for p in patients),
-        u=u,
-        true_multiplier=mult,
-    )
+    ids = tuple(f"{id_prefix}{i:05d}" for i in range(n))
+    cohort = Cohort(config.schema(), ids, X, treated, event, time)
+    truth = GroundTruth(ids=ids, u=u, true_multiplier=mult)
     return cohort, truth
 
 

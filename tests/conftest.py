@@ -150,3 +150,10 @@ def read_csv_dicts(path: Path) -> list[dict]:
 
 def covariate_matrix(rows: list[dict], names) -> np.ndarray:
     return np.array([[float(r[n]) for n in names] for r in rows])
+
+
+def cohort_columns(cohort) -> tuple:
+    """A cohort's columns as plain lists, for equality checks."""
+    return (cohort.ids, cohort.covariate_matrix().tolist(),
+            cohort.treatments().tolist(), cohort.events().tolist(),
+            cohort.times().tolist())

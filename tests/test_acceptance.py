@@ -182,7 +182,8 @@ def test_policy_tree_matches_enumeration_oracle():
 def test_hte_pipeline_recovers_planted_subgroup(hte_run, hte_corpus):
     names = ("node_positive", "dfi_months", "n_tumors", "max_size_cm",
              "cea_ng_ml", "kras_mutated")
-    tree = pipeline._tree_from_artifact(hte_run)
+    tree = policy_tree.PolicyTree.from_json(
+        (hte_run / "tree.json").read_text(encoding="utf-8"))
 
     obs = read_csv_dicts(hte_corpus / "observational.csv")
     truth = {r["id"]: float(r["true_effect_multiplier"])

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -70,6 +71,20 @@ def test_config_error_exits_2(mini_corpus, tmp_path):
     cfg = write_yaml(tmp_path / "p.yaml", doc)
     result = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
     assert result.exit_code == 2
+    assert "error:" in result.output
+
+
+@pytest.mark.parametrize("key, value", [
+    ("match", {"move_budget": "lots"}),
+    ("tree", {"grid": [{"max_depth": "deep"}]}),
+    ("match", 5),
+])
+def test_malformed_config_value_exits_2(mini_corpus, tmp_path, key, value):
+    doc = mini_pipeline_doc(mini_corpus)
+    doc[key] = value
+    cfg = write_yaml(tmp_path / "p.yaml", doc)
+    result = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert result.exit_code == 2, result.output
     assert "error:" in result.output
 
 

@@ -7,7 +7,6 @@ from trialemu.cohort import (
     Cohort,
     CovariateSchema,
     EligibilityRule,
-    Patient,
     TrialTarget,
     apply_eligibility,
     binarize_at_horizon,
@@ -22,6 +21,8 @@ from trialemu.errors import (
     IntegrityError,
     SchemaError,
 )
+
+from conftest import cohort_columns
 
 SCHEMA = CovariateSchema(
     names=("age", "size_cm"),
@@ -44,8 +45,8 @@ def test_load_cohort_preserves_rows_and_order(tmp_path):
     ])
     cohort = load_cohort(path, SCHEMA)
     assert cohort.ids == ["p1", "p2", "p3"]
-    assert cohort.patients[1].event == 1
-    assert cohort.patients[2].covariates == (47.0, 2.2)
+    assert cohort.events()[1] == 1
+    assert tuple(cohort.covariate_matrix()[2]) == (47.0, 2.2)
 
 
 def test_load_cohort_header_only_is_empty(tmp_path):
@@ -92,54 +93,98 @@ def test_load_cohort_rejects_non_binary_flag(tmp_path):
         load_cohort(path, schema)
 
 
-def test_cohort_round_trip(tmp_path):
-    original = Cohort(SCHEMA, [
-        Patient("p1", (55.0, 3.125), 1, 0, 62.5),
-        Patient("p2", (61.0, 4.0), 0, 1, 14.0625),
+@pytest.mark.parametrize("row, column", [
+    ("p2,0.5,1,14.5,61,4.0", "treatment"),
+    ("p2,0,1.7,14.5,61,4.0", "event"),
+    ("p2,0,1,nan,61,4.0", "time"),
+    ("p2,0,1,inf,61,4.0", "time"),
+    ("p2,0,1,14.5,nan,4.0", "age"),
+    ("p2,0,1,14.5,61,-inf", "size_cm"),
+    ("p2,0,1,14.5,61", "cells"),
+])
+def test_load_cohort_rejects_malformed_cells(tmp_path, row, column):
+    path = write_csv(tmp_path / "c.csv", [
+        "id,treatment,event,time,age,size_cm",
+        "p1,1,0,62.0,55,3.1",
+        row,
     ])
+    with pytest.raises(CohortParseError, match=f"row 2.*{column}"):
+        load_cohort(path, SCHEMA)
+
+
+def test_cohort_validates_columns():
+    one = dict(ids=["p1"], covariates=[[1.0, 2.0]], treatment=[1], event=[0],
+               time=[1.0])
+    Cohort(SCHEMA, **one)
+    for key, value, error, message in (
+            ("treatment", [2], IntegrityError, "treatment"),
+            ("event", [0.5], IntegrityError, "event"),
+            ("time", [-1.0], IntegrityError, "time"),
+            ("covariates", [[1.0]], SchemaError, "covariate"),
+            ("time", [1.0, 2.0], SchemaError, "time")):
+        with pytest.raises(error, match=message):
+            Cohort(SCHEMA, **dict(one, **{key: value}))
+
+
+def test_take_keeps_order_and_columns_are_read_only():
+    cohort = _cohort([10, 30, 90])
+    kept = cohort.take([True, False, True])
+    assert kept.ids == ["p0", "p2"]
+    assert kept.covariate_matrix()[:, 0].tolist() == [10.0, 90.0]
+    assert cohort.subset(["p2", "p0"]).ids == ["p0", "p2"]
+    with pytest.raises(IntegrityError, match="unknown"):
+        cohort.subset(["p9"])
+    with pytest.raises(ValueError):
+        cohort.covariate_matrix()[0, 0] = 1.0
+
+
+def test_cohort_round_trip(tmp_path):
+    original = Cohort(SCHEMA, ["p1", "p2"], [[55.0, 3.125], [61.0, 4.0]],
+                      [1, 0], [0, 1], [62.5, 14.0625])
     save_cohort(original, tmp_path / "c.csv")
     loaded = load_cohort(tmp_path / "c.csv", SCHEMA)
-    assert loaded.patients == original.patients
+    assert cohort_columns(loaded) == cohort_columns(original)
 
 
-def _patients(ages):
-    return [Patient(f"p{i}", (float(a), 3.0), 0, 0, 70.0)
-            for i, a in enumerate(ages)]
+def _cohort(ages):
+    n = len(ages)
+    return Cohort(SCHEMA, [f"p{i}" for i in range(n)],
+                  [[float(a), 3.0] for a in ages], [0] * n, [0] * n, [70.0] * n)
 
 
 def test_eligibility_closed_bounds():
-    cohort = Cohort(SCHEMA, _patients([19, 20, 75, 76]))
+    cohort = _cohort([19, 20, 75, 76])
     rules = [EligibilityRule("age", ">=", 20), EligibilityRule("age", "<=", 75)]
     result = apply_eligibility(cohort, rules)
-    assert [p.covariates[0] for p in result.cohort] == [20.0, 75.0]
+    assert result.cohort.covariate_matrix()[:, 0].tolist() == [20.0, 75.0]
     assert result.exclusions == {"age >= 20": 1, "age <= 75": 1}
 
 
 def test_eligibility_empty_rules_is_identity():
-    cohort = Cohort(SCHEMA, _patients([30, 40]))
-    assert apply_eligibility(cohort, []).cohort.patients == cohort.patients
+    cohort = _cohort([30, 40])
+    assert cohort_columns(apply_eligibility(cohort, []).cohort) == \
+        cohort_columns(cohort)
 
 
 def test_eligibility_is_idempotent():
-    cohort = Cohort(SCHEMA, _patients([10, 30, 90]))
+    cohort = _cohort([10, 30, 90])
     rules = [EligibilityRule("age", "<", 80)]
     once = apply_eligibility(cohort, rules).cohort
     twice = apply_eligibility(once, rules).cohort
-    assert once.patients == twice.patients
+    assert cohort_columns(once) == cohort_columns(twice)
 
 
 def test_eligibility_unknown_field():
-    cohort = Cohort(SCHEMA, _patients([30]))
+    cohort = _cohort([30])
     with pytest.raises(SchemaError, match="nope"):
         apply_eligibility(cohort, [EligibilityRule("nope", "<", 1)])
 
 
 def test_binarize_at_horizon_cases():
-    cohort = Cohort(SCHEMA, [
-        Patient("ev", (50.0, 3.0), 0, 1, 30.0),   # event before horizon
-        Patient("ok", (50.0, 3.0), 0, 0, 72.0),   # followed past horizon
-        Patient("cns", (50.0, 3.0), 0, 0, 40.0),  # censored early
-    ])
+    cohort = Cohort(SCHEMA, ["ev", "ok", "cns"], [[50.0, 3.0]] * 3,
+                    [0, 0, 0],
+                    [1, 0, 0],            # ev: event before horizon
+                    [30.0, 72.0, 40.0])   # ok: past horizon; cns: censored early
     hl = binarize_at_horizon(cohort, 60.0)
     assert dict(zip(hl.ids, hl.labels)) == {"ev": 1, "ok": 0}
     assert hl.excluded_ids == ("cns",)
@@ -147,18 +192,15 @@ def test_binarize_at_horizon_cases():
 
 def test_binarize_partitions_cohort():
     rng = np.random.default_rng(3)
-    cohort = Cohort(SCHEMA, [
-        Patient(f"p{i}", (50.0, 3.0), 0, int(rng.integers(2)),
-                float(rng.uniform(0, 120)))
-        for i in range(50)
-    ])
+    cohort = Cohort(SCHEMA, [f"p{i}" for i in range(50)], [[50.0, 3.0]] * 50,
+                    [0] * 50, rng.integers(2, size=50), rng.uniform(0, 120, 50))
     hl = binarize_at_horizon(cohort, 60.0)
     assert len(hl.ids) + len(hl.excluded_ids) == len(cohort)
     assert set(hl.ids).isdisjoint(hl.excluded_ids)
 
 
 def test_binarize_requires_positive_horizon():
-    cohort = Cohort(SCHEMA, _patients([30]))
+    cohort = _cohort([30])
     with pytest.raises(ConfigError):
         binarize_at_horizon(cohort, 0.0)
 

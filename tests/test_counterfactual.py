@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trialemu import learner
-from trialemu.cohort import Cohort, CovariateSchema, Patient
+from trialemu.cohort import Cohort, CovariateSchema
 from trialemu.counterfactual import (
     RewardMatrix,
     TuningTrace,
@@ -28,25 +28,26 @@ CFG = learner.LearnerConfig(n_trees=5, max_depth=3, min_leaf=5,
 def make_matched(n_per_arm=40, seed=0, event_rate=0.5):
     """Balanced matched cohort; events concentrate at low x."""
     rng = np.random.default_rng(seed)
-    patients = []
+    ids, xs, arms, events = [], [], [], []
     for arm in (0, 1):
-        xs = rng.uniform(0, 1, n_per_arm)
-        for i, x in enumerate(xs):
+        for i, x in enumerate(rng.uniform(0, 1, n_per_arm)):
             event = int(x < event_rate) if rng.uniform() < 0.9 else int(
                 x >= event_rate)
-            patients.append(Patient(
-                f"a{arm}p{i}", (float(x),), arm, event,
-                30.0 if event else 70.0))
-    return Cohort(SCHEMA, patients)
+            ids.append(f"a{arm}p{i}")
+            xs.append([float(x)])
+            arms.append(arm)
+            events.append(event)
+    times = [30.0 if e else 70.0 for e in events]
+    return Cohort(SCHEMA, ids, xs, arms, events, times)
 
 
 class TestFitCounterfactuals:
     def test_rho_one_equals_unweighted_fit(self):
         matched = make_matched()
         pair = fit_counterfactuals(matched, HORIZON, CFG)
-        arm0 = [p for p in matched if p.treatment == 0]
-        X = np.array([[p.covariates[0]] for p in arm0])
-        y = np.array([1 - p.event for p in arm0])  # event-free label
+        arm0 = matched.treatments() == 0
+        X = matched.covariate_matrix()[arm0]
+        y = 1 - matched.events()[arm0]  # event-free label
         direct = learner.fit(X, y, np.ones(len(y)), CFG)
         assert pair.model0.to_json() == direct.to_json()
         assert pair.rho0 == pair.rho1 == 1.0
@@ -63,18 +64,20 @@ class TestFitCounterfactuals:
             fit_counterfactuals(make_matched(), HORIZON, CFG, rho0=0.5)
 
     def test_missing_arm(self):
-        arm0_only = Cohort(SCHEMA, [
-            Patient("p0", (0.2,), 0, 1, 10.0),
-            Patient("p1", (0.8,), 0, 0, 70.0)])
+        arm0_only = Cohort(SCHEMA, ["p0", "p1"], [[0.2], [0.8]], [0, 0],
+                           [1, 0], [10.0, 70.0])
         with pytest.raises(InsufficientDataError):
             fit_counterfactuals(arm0_only, HORIZON, CFG)
 
     def test_single_class_arm_falls_back_to_constant(self):
-        patients = [Patient(f"c{i}", (i / 10,), 0, 0, 70.0) for i in range(10)]
-        patients += [Patient(f"t{i}", (i / 10,), 1, i % 2, 30.0 if i % 2 else 70.0)
-                     for i in range(10)]
+        ids = [f"c{i}" for i in range(10)] + [f"t{i}" for i in range(10)]
+        xs = [[i / 10] for i in range(10)] * 2
+        arms = [0] * 10 + [1] * 10
+        events = [0] * 10 + [i % 2 for i in range(10)]
+        times = [30.0 if e else 70.0 for e in events]
         with pytest.warns(UserWarning, match="single-class"):
-            pair = fit_counterfactuals(Cohort(SCHEMA, patients), HORIZON, CFG)
+            pair = fit_counterfactuals(Cohort(SCHEMA, ids, xs, arms, events, times),
+                                       HORIZON, CFG)
         assert pair.hbar0 == 1.0  # all arm-0 patients event-free
 
 

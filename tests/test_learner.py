@@ -15,7 +15,6 @@ from trialemu.learner import (
     FittedEnsemble,
     LearnerConfig,
     constant_model,
-    cross_validated_cindex,
     fit,
     predict_prob,
 )
@@ -163,17 +162,3 @@ def test_upweighting_positives_raises_mean_prediction():
         w = np.where(y == 1, rho, 1.0)
         means.append(predict_prob(fit(X, y, w, cfg), X).mean())
     assert means[0] <= means[1] + 1e-12 <= means[2] + 2e-12
-
-
-def test_cross_validated_cindex_separable_and_deterministic():
-    rng = np.random.default_rng(21)
-    X = rng.normal(size=(120, 2))
-    risk = X[:, 0]
-    y = (risk > 0).astype(int)
-    times = np.where(y == 1, 10.0 - risk, 100.0)
-    cfg = LearnerConfig(n_trees=20, max_depth=3, min_leaf=5, seed=4)
-    c = cross_validated_cindex(X, y, times, cfg, folds=4)
-    assert 0.8 <= c <= 1.0
-    assert cross_validated_cindex(X, y, times, cfg, folds=4) == c
-    with pytest.raises(ConfigError):
-        cross_validated_cindex(X, y, times, cfg, folds=1)

@@ -80,6 +80,30 @@ def test_config_change_invalidates_resume(mini_corpus, tmp_path):
     assert (run / "risks.csv").stat().st_mtime_ns != stamp  # rebuilt
 
 
+def test_changed_cohort_file_invalidates_resume(mini_corpus, tmp_path):
+    cohort = tmp_path / "observational.csv"
+    lines = (mini_corpus / "observational.csv").read_text().splitlines(keepends=True)
+    cohort.write_text("".join(lines))
+    doc = mini_pipeline_doc(mini_corpus)
+    doc["cohort"] = str(cohort)
+    cfg = load_config(tmp_path, doc)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run, until="filter")
+    assert len(read_csv_dicts(run / "eligible.csv")) == 500
+    cohort.write_text("".join(lines[:251]))  # header plus the first 250 rows
+    pipeline.run_pipeline(cfg, run, until="filter")
+    assert len(read_csv_dicts(run / "eligible.csv")) == 250
+
+
+@pytest.mark.parametrize("key", ["cohort", "trial"])
+def test_missing_input_file_is_config_error(mini_corpus, tmp_path, key):
+    doc = mini_pipeline_doc(mini_corpus)
+    doc[key] = str(tmp_path / "absent")
+    cfg = load_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="absent"):
+        pipeline.run_pipeline(cfg, tmp_path / "run")
+
+
 def test_unknown_until_stage(mini_corpus, tmp_path):
     cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
     with pytest.raises(ConfigError, match="unknown stage"):

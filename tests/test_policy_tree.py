@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from trialemu.cohort import Cohort, CovariateSchema, Patient
+from trialemu.cohort import Cohort, CovariateSchema
 from trialemu.errors import ConfigError, InvalidRewardsError, SchemaError
 from trialemu.policy_tree import (
+    PolicyTree,
     PolicyTreeConfig,
     assign,
     concordance,
@@ -143,10 +144,9 @@ def test_assign_validates_feature_count():
 
 def test_subgroup_report_flags_weak_treatment_leaves():
     schema = CovariateSchema(("x",), ("continuous",), ("",))
-    patients = [
-        Patient(f"p{i}", (float(i < 4),), i % 2, 0, 70.0) for i in range(8)
-    ]
-    matched = Cohort(schema, patients)
+    matched = Cohort(schema, [f"p{i}" for i in range(8)],
+                     [[float(i < 4)] for i in range(8)], [i % 2 for i in range(8)],
+                     [0] * 8, [70.0] * 8)
     X = matched.covariate_matrix()
     # x=0 leaf clearly prefers control; x=1 leaf prefers treatment by
     # only 0.02, below the 0.05 effect floor -> flagged
@@ -172,3 +172,16 @@ def test_json_and_text_render_round_trip_fields():
     assert '"training_value"' in doc and '"threshold"' in doc
     text = tree.render_text(["biomarker"])
     assert "biomarker" in text and "treat=" in text
+
+
+def test_from_json_inverts_to_json():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(120, 3))
+    R = rng.random((120, 2))
+    tree = fit_policy_tree(X, R, PolicyTreeConfig(max_depth=3, min_leaf=10))
+    assert tree.depth() >= 2
+    decoded = PolicyTree.from_json(tree.to_json())
+    assert decoded.to_json() == tree.to_json()
+    assert [nd.node_id for nd in decoded.nodes] == [nd.node_id for nd in tree.nodes]
+    for got, want in zip(assign(decoded, X), assign(tree, X)):
+        np.testing.assert_array_equal(got, want)

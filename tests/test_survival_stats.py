@@ -1,4 +1,4 @@
-"""Kaplan-Meier, log-rank, concordance, clinical risk scores, balance audit."""
+"""Kaplan-Meier, log-rank, clinical risk scores, balance audit."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from trialemu.survival_stats import (
     chi2_sf_1df,
     crs_score,
     game_score,
-    harrell_c,
     km_curve,
     logrank,
     median_survival,
@@ -119,42 +118,6 @@ class TestChi2:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             chi2_sf_1df(-1.0)
-
-
-class TestHarrellC:
-    def test_perfect_ranking(self):
-        times = [1, 2, 3, 4]
-        assert harrell_c([4, 3, 2, 1], times, [1, 1, 1, 1]) == 1.0
-        assert harrell_c([1, 2, 3, 4], times, [1, 1, 1, 1]) == 0.0
-
-    def test_constant_scores(self):
-        assert harrell_c([1, 1, 1], [1, 2, 3], [1, 1, 1]) == 0.5
-
-    def test_early_censoring_drops_pairs(self):
-        # Patient 0 censored at the smallest time: its 3 pairs are all
-        # non-comparable, leaving pairs (1,2), (1,3), (2,3) -- and one
-        # score tie among them counts one half: 2.5 / 3.
-        c = harrell_c([0.9, 0.5, 0.5, 0.1], [1, 2, 3, 4], [0, 1, 1, 1])
-        assert c == pytest.approx(2.5 / 3, abs=1e-15)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_complement_property(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 12
-        scores = rng.permutation(n).astype(float)  # tie-free
-        times = rng.uniform(1, 50, size=n)
-        events = rng.integers(0, 2, size=n)
-        try:
-            forward = harrell_c(scores, times, events)
-        except UndefinedStatisticError:
-            return
-        assert forward + harrell_c(-scores, times, events) == pytest.approx(
-            1.0, abs=1e-12)
-
-    def test_no_comparable_pairs(self):
-        with pytest.raises(UndefinedStatisticError):
-            harrell_c([1, 2], [5, 9], [0, 1])  # only the later time events
 
 
 BASELINE = dict(node_positive=False, dfi_months=24.0, n_tumors=1,

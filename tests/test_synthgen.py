@@ -19,6 +19,8 @@ from trialemu.synthgen import (
     true_event_free_at_horizon,
 )
 
+from conftest import cohort_columns
+
 COVARIATES = (
     CovariateSpec("flag", "binary", p=0.4, hazard_coef=0.3),
     CovariateSpec("level", "continuous", mean=10.0, sd=3.0, hazard_coef=-0.25),
@@ -36,10 +38,10 @@ def test_determinism_per_seed():
     cfg = make_config(gamma_u=0.5, gamma_x=0.6)
     a, truth_a = generate_observational(cfg)
     b, truth_b = generate_observational(cfg)
-    assert a.patients == b.patients
+    assert cohort_columns(a) == cohort_columns(b)
     np.testing.assert_array_equal(truth_a.u, truth_b.u)
     c, _ = generate_observational(make_config(gamma_u=0.5, gamma_x=0.6, seed=6))
-    assert c.patients != a.patients
+    assert cohort_columns(c) != cohort_columns(a)
 
 
 def test_null_confounding_balances_risk_scores():
