@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -81,7 +82,6 @@ def synth(config_path, seed, out_dir, with_truth):
     """Generate an observational cohort, trial target, and RCT cohort."""
     cfg = synthgen.load_dgp_config(config_path)
     if seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,10 +108,8 @@ def _run_options(fn):
 
 
 def _run_until(config_path, seed, out_dir, until, overrides=None):
-    cfg = pipeline.load_pipeline_config(config_path, seed=seed)
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+    cfg = pipeline.load_pipeline_config(config_path, seed=seed,
+                                        overrides=overrides)
     manifest = pipeline.run_pipeline(cfg, out_dir, until=until)
     done = [e["name"] for e in manifest["stages"]]
     click.echo(f"completed stages: {', '.join(done)}")
@@ -127,20 +125,16 @@ def run(config_path, seed, out_dir, until):
     _run_until(config_path, seed, out_dir, until)
 
 
+# stage option -> the pipeline config key it overrides
+_OVERRIDE_KEYS = {"buckets": "buckets", "quotas": "quotas",
+                  "mode": "match.mode", "move_budget": "match.move_budget"}
+
+
 def _stage_command(name, help_text, extra_options=()):
     @_handle_errors
-    def cmd(config_path, seed, out_dir, **kwargs):
-        overrides = {}
-        if kwargs.get("buckets"):
-            overrides["boundaries"] = tuple(
-                float(b) for b in kwargs["buckets"].split(","))
-        if kwargs.get("quotas") and kwargs["quotas"] != "auto":
-            overrides["quotas"] = tuple(
-                int(q) for q in kwargs["quotas"].split(","))
-        if kwargs.get("mode"):
-            overrides["match_mode"] = kwargs["mode"]
-        if kwargs.get("move_budget") is not None:
-            overrides["move_budget"] = kwargs["move_budget"]
+    def cmd(config_path, seed, out_dir, **options):
+        overrides = {_OVERRIDE_KEYS[option]: value
+                     for option, value in options.items() if value is not None}
         _run_until(config_path, seed, out_dir, name, overrides)
 
     cmd.__name__ = name
@@ -150,10 +144,14 @@ def _stage_command(name, help_text, extra_options=()):
     return main.command(name=name, help=help_text)(cmd)
 
 
+def _comma_list(_ctx, _param, value):
+    return value if value in (None, "auto") else value.split(",")
+
+
 _MATCH_OPTIONS = (
-    click.option("--buckets", default=None,
+    click.option("--buckets", default=None, callback=_comma_list,
                  help="Comma-separated risk boundaries, e.g. 0,0.25,0.5,1."),
-    click.option("--quotas", default=None,
+    click.option("--quotas", default=None, callback=_comma_list,
                  help="'auto' or comma-separated per-bucket quotas."),
 )
 
@@ -169,6 +167,7 @@ _stage_command("match", "Solve the trial-matching optimization.",
                                 help="Local-search move budget."),
                ))
 _stage_command("tune", "Fit counterfactual models and tune their weights.")
+_stage_command("constrain", "Scale down the rewards of the dispreferred arm.")
 _stage_command("tree", "Fit the policy-tree grid and select a tree.")
 _stage_command("validate", "Produce subgroup, KM/log-rank, and balance audits.")
 

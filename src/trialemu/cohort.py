@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
+from .config import build, read_yaml
 from .errors import CohortParseError, ConfigError, IntegrityError, SchemaError
 
 RESERVED_COLUMNS = ("id", "treatment", "event", "time")
@@ -154,6 +155,10 @@ class TrialTarget:
                 raise SchemaError(f"covariate target {name!r} not in schema")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EligibilityRule:
     field: str
@@ -161,7 +166,16 @@ class EligibilityRule:
     value: object
 
     def __post_init__(self):
-        if self.op not in _COMPARATORS and self.op != "in":
+        if self.op == "in":
+            if not (isinstance(self.value, (list, tuple))
+                    and all(map(_is_number, self.value))):
+                raise ConfigError(
+                    f"value must be a list of numbers for op 'in', got {self.value!r}")
+        elif self.op in _COMPARATORS:
+            if not _is_number(self.value):
+                raise ConfigError(
+                    f"value must be a number for op {self.op!r}, got {self.value!r}")
+        else:
             raise ConfigError(f"unknown comparator {self.op!r}")
 
     def describe(self) -> str:
@@ -283,49 +297,39 @@ def binarize_at_horizon(cohort: Cohort, horizon: float) -> HorizonLabels:
                          tuple(cohort._ids[~known]))
 
 
+@dataclass(frozen=True)
+class _TrialFile(TrialTarget):
+    """The trial YAML: the target's keys plus the eligibility rules."""
+
+    eligibility: tuple[EligibilityRule, ...] = ()
+
+
+def _arm_targets(value) -> dict:
+    """{name: {arm0: mean, arm1: mean}} as {name: (arm0 mean, arm1 mean)}."""
+    targets = {}
+    for name, arms in dict(value or {}).items():
+        if not isinstance(arms, dict) or sorted(arms) != ["arm0", "arm1"]:
+            raise ValueError(f"{name}: expected keys arm0 and arm1, got {arms!r}")
+        targets[name] = (float(arms["arm0"]), float(arms["arm1"]))
+    return targets
+
+
 def load_trial_config(path, schema: CovariateSchema):
     """Read the declarative trial config: TrialTarget plus eligibility rules."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    try:
-        cov_targets = {}
-        for name, arms in (raw.get("covariate_targets") or {}).items():
-            cov_targets[name] = (float(arms["arm0"]), float(arms["arm1"]))
-        target = TrialTarget(
-            horizon_months=float(raw["horizon_months"]),
-            mu0=float(raw["mu0"]),
-            mu1=float(raw["mu1"]),
-            covariate_targets=cov_targets,
-            tolerance_outcome=float(raw.get("tolerance_outcome", 0.02)),
-            tolerance_covariate=float(raw.get("tolerance_covariate", 0.03)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from None
-    rules = []
-    for entry in raw.get("eligibility") or []:
-        value = entry["value"]
-        rules.append(EligibilityRule(field=entry["field"], op=entry["op"], value=value))
+    doc = build(_TrialFile, read_yaml(path), path, covariate_targets=_arm_targets)
+    target = TrialTarget(**{f.name: getattr(doc, f.name) for f in fields(TrialTarget)})
     target.validate_against(schema)
-    for rule in rules:
+    for rule in doc.eligibility:
         if rule.field != "time" and rule.field not in schema.names:
             raise SchemaError(f"eligibility rule references unknown field {rule.field!r}")
-    return target, rules
+    return target, list(doc.eligibility)
 
 
 def save_trial_config(target: TrialTarget, rules: list[EligibilityRule], path) -> None:
-    doc = {
-        "horizon_months": float(target.horizon_months),
-        "mu0": float(target.mu0),
-        "mu1": float(target.mu1),
-        "tolerance_outcome": float(target.tolerance_outcome),
-        "tolerance_covariate": float(target.tolerance_covariate),
-        "covariate_targets": {
-            name: {"arm0": float(a0), "arm1": float(a1)}
-            for name, (a0, a1) in sorted(target.covariate_targets.items())
-        },
-        "eligibility": [
-            {"field": r.field, "op": r.op, "value": r.value} for r in rules
-        ],
-    }
+    doc = {k: float(v) for k, v in asdict(target).items() if k != "covariate_targets"}
+    doc["covariate_targets"] = {
+        name: {"arm0": float(a0), "arm1": float(a1)}
+        for name, (a0, a1) in sorted(target.covariate_targets.items())}
+    doc["eligibility"] = [asdict(rule) for rule in rules]
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)

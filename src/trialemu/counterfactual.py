@@ -195,6 +195,15 @@ def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMa
     )
 
 
+def check_constraint(factor: float | None, direction: str) -> None:
+    """Reject a factor outside (0, 1] or an unknown direction; a factor of
+    None (no constraint) passes."""
+    if factor is not None and not 0.0 < factor <= 1.0:
+        raise ConfigError("factor must lie in (0, 1]")
+    if direction not in ("favor-treatment", "favor-control"):
+        raise ConfigError(f"unknown direction {direction!r}")
+
+
 def constrain_rewards(matrix: RewardMatrix, factor: float,
                       direction: str = "favor-treatment") -> RewardMatrix:
     """Scale down the dispreferred arm's reward in rows preferring it.
@@ -202,10 +211,7 @@ def constrain_rewards(matrix: RewardMatrix, factor: float,
     favor-treatment: rows with r0 > r1 get r0 <- factor * r1.
     favor-control:   rows with r1 > r0 get r1 <- factor * r0.
     """
-    if not 0.0 < factor <= 1.0:
-        raise ConfigError("factor must lie in (0, 1]")
-    if direction not in ("favor-treatment", "favor-control"):
-        raise ConfigError(f"unknown direction {direction!r}")
+    check_constraint(factor, direction)
     r = matrix.rewards.copy()
     if direction == "favor-treatment":
         mask = r[:, 0] > r[:, 1]

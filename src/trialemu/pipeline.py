@@ -14,11 +14,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import counterfactual, learner, policy_tree, stratify_match, survival_stats
 from .cohort import (
@@ -30,7 +29,10 @@ from .cohort import (
     load_trial_config,
     save_cohort,
 )
+from .config import build, read_yaml
 from .errors import ArtifactError, ConfigError, InsufficientDataError
+from .learner import LearnerConfig
+from .policy_tree import PolicyTreeConfig
 
 STAGES = ("filter", "stratify", "match", "tune", "constrain", "tree", "validate")
 
@@ -41,136 +43,133 @@ CLINICAL_SCORE_FIELDS = (
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    cohort_path: str
-    trial_path: str
-    schema: CovariateSchema
-    seed: int = 0
-    learner_config: learner.LearnerConfig = learner.LearnerConfig()
-    counterfactual_config: learner.LearnerConfig = learner.LearnerConfig(bootstrap=False)
-    boundaries: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    quotas: tuple | None = None  # None = derive with default_quotas
-    match_mode: str = "heuristic"
+class CovariateColumn:
+    name: str
+    kind: str  # "binary" | "continuous"
+    unit: str = ""
+
+
+@dataclass(frozen=True)
+class MatchSection:
+    mode: str = "heuristic"
     move_budget: int = 10**6
-    distance_covariates: tuple = ()
+    distance_covariates: tuple[str, ...] = ()
     lambda_outcome: float = 1.0
     lambda_covariate: float = 1.0
     lambda_distance: float = 1.0
-    tune_arms: tuple = (0, 1)
-    tune_tol: float = counterfactual.RHO_TOL_DEFAULT
+
+    def __post_init__(self):
+        if self.mode not in ("heuristic", "exact"):
+            raise ConfigError(f"unknown match mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class TuneSection:
+    arms: tuple[int, ...] = (0, 1)
+    tol: float = counterfactual.RHO_TOL_DEFAULT
     rho_max: float = counterfactual.RHO_MAX_DEFAULT
-    constrain_factor: float | None = 0.78
-    constrain_direction: str = "favor-treatment"
-    tree_grid: tuple = (
-        policy_tree.PolicyTreeConfig(max_depth=1),
-        policy_tree.PolicyTreeConfig(max_depth=2),
-        policy_tree.PolicyTreeConfig(max_depth=3),
-    )
+
+    def __post_init__(self):
+        if any(arm not in (0, 1) for arm in self.arms):
+            raise ConfigError("arms must be 0 and/or 1")
+
+
+@dataclass(frozen=True)
+class ConstrainSection:
+    factor: float | None = None  # None leaves the rewards as tuned
+    direction: str = "favor-treatment"
+
+    def __post_init__(self):
+        counterfactual.check_constraint(self.factor, self.direction)
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    max_depth: int = PolicyTreeConfig.max_depth
+    min_leaf: int | None = None  # None: the tree section's min_leaf
+
+
+@dataclass(frozen=True)
+class TreeSection:
+    """The policy-tree grid; every grid point shares the other settings."""
+
+    grid: tuple[GridPoint, ...] = (GridPoint(1), GridPoint(2), GridPoint(3))
+    min_leaf: int = PolicyTreeConfig.min_leaf
+    local_search_passes: int = PolicyTreeConfig.local_search_passes
+    lookahead_width: int = PolicyTreeConfig.lookahead_width
     min_effect: float = 0.05
 
     def __post_init__(self):
-        if self.match_mode not in ("heuristic", "exact"):
-            raise ConfigError(f"unknown match mode {self.match_mode!r}")
-        for arm in self.tune_arms:
-            if arm not in (0, 1):
-                raise ConfigError("tune arms must be 0 and/or 1")
-        if not self.tree_grid:
-            raise ConfigError("tree grid must contain at least one config")
+        if not self.grid:
+            raise ConfigError("grid must contain at least one entry")
+        self.configs(seed=0)  # PolicyTreeConfig checks each point's bounds
 
-    def describe(self) -> dict:
-        """Canonical dict used for the manifest's config digest."""
-        return {
-            "cohort_path": str(self.cohort_path),
-            "trial_path": str(self.trial_path),
-            "schema": {"names": list(self.schema.names),
-                       "kinds": list(self.schema.kinds)},
-            "seed": self.seed,
-            "learner": self.learner_config.__dict__,
-            "counterfactual_learner": self.counterfactual_config.__dict__,
-            "boundaries": list(self.boundaries),
-            "quotas": list(self.quotas) if self.quotas is not None else "auto",
-            "match_mode": self.match_mode,
-            "move_budget": self.move_budget,
-            "distance_covariates": list(self.distance_covariates),
-            "lambdas": [self.lambda_outcome, self.lambda_covariate,
-                        self.lambda_distance],
-            "tune_arms": list(self.tune_arms),
-            "tune_tol": self.tune_tol,
-            "rho_max": self.rho_max,
-            "constrain_factor": self.constrain_factor,
-            "constrain_direction": self.constrain_direction,
-            "tree_grid": [tc.__dict__ for tc in self.tree_grid],
-            "min_effect": self.min_effect,
-        }
+    def configs(self, seed: int) -> tuple[PolicyTreeConfig, ...]:
+        return tuple(PolicyTreeConfig(
+            p.max_depth, self.min_leaf if p.min_leaf is None else p.min_leaf,
+            self.local_search_passes, self.lookahead_width, seed) for p in self.grid)
 
 
-def load_pipeline_config(path, seed: int | None = None) -> PipelineConfig:
-    """Read a pipeline config YAML; relative paths resolve against it."""
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The pipeline YAML: each field is a key, each section a dataclass."""
+
+    cohort: str
+    trial: str
+    covariates: tuple[CovariateColumn, ...]
+    seed: int = 0
+    learner: LearnerConfig = LearnerConfig()
+    counterfactual_learner: LearnerConfig = LearnerConfig(bootstrap=False)
+    buckets: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    quotas: tuple[int, ...] | None = None  # None ('auto'): default_quotas
+    match: MatchSection = MatchSection()
+    tune: TuneSection = TuneSection()
+    constrain: ConstrainSection = ConstrainSection()
+    tree: TreeSection = TreeSection()
+
+    def __post_init__(self):
+        stratify_match.BucketSpec(self.buckets, self.quotas or ())
+        self.schema  # CovariateSchema checks the names and kinds
+
+    @property
+    def schema(self) -> CovariateSchema:
+        return CovariateSchema(
+            names=tuple(c.name for c in self.covariates),
+            kinds=tuple(c.kind for c in self.covariates),
+            units=tuple(c.unit for c in self.covariates),
+        )
+
+
+def _seeded_by_pipeline(_value):
+    raise ValueError("not settable; the top-level seed seeds every stage")
+
+
+def load_pipeline_config(path, seed: int | None = None,
+                         overrides: dict | None = None) -> PipelineConfig:
+    """Read a pipeline config YAML; relative paths resolve against it.
+
+    ``overrides`` maps keys (``buckets``) and section keys (``match.mode``)
+    to YAML values that replace the file's; ``seed`` overrides ``seed``.
+    """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    base = path.parent
+    doc = read_yaml(path)
+    seeds = {} if seed is None else {"seed": seed}
+    for key, value in dict(overrides or {}, **seeds).items():
+        section, _, name = key.rpartition(".")
+        if section and doc.get(section) is None:
+            doc[section] = {}
+        node = doc[section] if section else doc
+        if isinstance(node, dict):  # else build reports the malformed section
+            node[name] = value
 
     def resolve(p):
         p = Path(p)
-        return str(p if p.is_absolute() else base / p)
+        return str(p if p.is_absolute() else path.parent / p)
 
-    def learner_from(section, default):
-        return replace(default, **{k: section[k] for k in section})
-
-    try:
-        entries = raw["covariates"]
-        schema = CovariateSchema(
-            names=tuple(e["name"] for e in entries),
-            kinds=tuple(e["kind"] for e in entries),
-            units=tuple(e.get("unit", "") for e in entries),
-        )
-        match = raw.get("match") or {}
-        tune = raw.get("tune") or {}
-        constrain = raw.get("constrain") or {}
-        tree = raw.get("tree") or {}
-        quotas = raw.get("quotas", "auto")
-        grid = tuple(
-            policy_tree.PolicyTreeConfig(
-                max_depth=int(entry.get("max_depth", 3)),
-                min_leaf=int(entry.get("min_leaf", tree.get("min_leaf", 20))),
-                local_search_passes=int(tree.get("local_search_passes", 2)),
-                lookahead_width=int(tree.get("lookahead_width", 16)),
-            )
-            for entry in tree.get("grid") or [{"max_depth": d} for d in (1, 2, 3)]
-        )
-        return PipelineConfig(
-            cohort_path=resolve(raw["cohort"]),
-            trial_path=resolve(raw["trial"]),
-            schema=schema,
-            seed=int(raw.get("seed", 0)) if seed is None else int(seed),
-            learner_config=learner_from(
-                raw.get("learner") or {}, learner.LearnerConfig()),
-            counterfactual_config=learner_from(
-                raw.get("counterfactual_learner") or {},
-                learner.LearnerConfig(bootstrap=False)),
-            boundaries=tuple(float(b) for b in raw.get(
-                "buckets", (0.0, 0.25, 0.5, 0.75, 1.0))),
-            quotas=None if quotas == "auto" else tuple(int(q) for q in quotas),
-            match_mode=match.get("mode", "heuristic"),
-            move_budget=int(match.get("move_budget", 10**6)),
-            distance_covariates=tuple(match.get("distance_covariates") or ()),
-            lambda_outcome=float(match.get("lambda_outcome", 1.0)),
-            lambda_covariate=float(match.get("lambda_covariate", 1.0)),
-            lambda_distance=float(match.get("lambda_distance", 1.0)),
-            tune_arms=tuple(tune.get("arms", (0, 1))),
-            tune_tol=float(tune.get("tol", counterfactual.RHO_TOL_DEFAULT)),
-            rho_max=float(tune.get("rho_max", counterfactual.RHO_MAX_DEFAULT)),
-            constrain_factor=(None if constrain.get("factor") is None
-                              else float(constrain["factor"])),
-            constrain_direction=constrain.get("direction", "favor-treatment"),
-            tree_grid=grid,
-            min_effect=float(tree.get("min_effect", 0.05)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return build(PipelineConfig, doc, path, cohort=resolve, trial=resolve,
+                 quotas=lambda q: None if q == "auto" else q,
+                 **{"learner.seed": _seeded_by_pipeline,
+                    "counterfactual_learner.seed": _seeded_by_pipeline})
 
 
 # --- artifact helpers -------------------------------------------------------
@@ -237,8 +236,8 @@ def _matched_cohort(config: PipelineConfig, out: Path) -> Cohort:
 
 def _build_problem(config: PipelineConfig, eligible: Cohort, risks: dict,
                    quotas=None) -> stratify_match.MatchProblem:
-    target, _rules = load_trial_config(config.trial_path, config.schema)
-    spec = stratify_match.BucketSpec(config.boundaries)
+    target, _rules = load_trial_config(config.trial, config.schema)
+    spec = stratify_match.BucketSpec(config.buckets)
     if quotas is not None:
         spec = spec.with_quotas(quotas)
     treated = eligible.take(eligible.treatments() == 1)
@@ -253,18 +252,18 @@ def _build_problem(config: PipelineConfig, eligible: Cohort, risks: dict,
         buckets=spec,
         target=target,
         covariate_names=config.schema.names,
-        distance_covariates=config.distance_covariates,
-        lambda_outcome=config.lambda_outcome,
-        lambda_covariate=config.lambda_covariate,
-        lambda_distance=config.lambda_distance,
+        distance_covariates=config.match.distance_covariates,
+        lambda_outcome=config.match.lambda_outcome,
+        lambda_covariate=config.match.lambda_covariate,
+        lambda_distance=config.match.lambda_distance,
     )
 
 
 # --- stages -----------------------------------------------------------------
 
 def _stage_filter(config: PipelineConfig, out: Path):
-    cohort = load_cohort(config.cohort_path, config.schema)
-    _target, rules = load_trial_config(config.trial_path, config.schema)
+    cohort = load_cohort(config.cohort, config.schema)
+    _target, rules = load_trial_config(config.trial, config.schema)
     result = apply_eligibility(cohort, rules)
     save_cohort(result.cohort, out / "eligible.csv")
     _write_json(out / "filter.json", {
@@ -278,7 +277,7 @@ def _stage_filter(config: PipelineConfig, out: Path):
 def _stage_stratify(config: PipelineConfig, out: Path):
     _require(out, "eligible.csv")
     eligible = load_cohort(out / "eligible.csv", config.schema)
-    target, _rules = load_trial_config(config.trial_path, config.schema)
+    target, _rules = load_trial_config(config.trial, config.schema)
     untreated = eligible.take(eligible.treatments() == 0)
     if len(untreated) == 0:
         raise InsufficientDataError("no untreated patients to fit the risk model")
@@ -286,7 +285,7 @@ def _stage_stratify(config: PipelineConfig, out: Path):
     train = untreated.subset(hl.ids)
     model = learner.fit(
         train.covariate_matrix(), hl.labels, np.ones(len(hl.ids)),
-        replace(config.learner_config, seed=config.seed))
+        replace(config.learner, seed=config.seed))
     (out / "xray_model.json").write_text(model.to_json() + "\n", encoding="utf-8")
 
     risks = learner.predict_prob(model, eligible.covariate_matrix())
@@ -308,7 +307,7 @@ def _stage_stratify(config: PipelineConfig, out: Path):
                       for k in range(problem.buckets.n_buckets)],
     }
     _write_json(out / "stratify.json", {
-        "boundaries": list(config.boundaries),
+        "boundaries": list(config.buckets),
         "quotas": list(quotas),
         "bucket_counts": counts,
         "n_training": len(hl.ids),
@@ -323,8 +322,8 @@ def _stage_match(config: PipelineConfig, out: Path):
     quotas = _read_json(out / "stratify.json")["quotas"]
     problem = _build_problem(config, eligible, _load_risks(out), quotas=quotas)
     solution = stratify_match.solve(
-        problem, mode=config.match_mode, seed=config.seed,
-        move_budget=config.move_budget)
+        problem, mode=config.match.mode, seed=config.seed,
+        move_budget=config.match.move_budget)
     bucket_of = dict(zip(problem.treated_ids, problem.treated_bucket))
     with open(out / "matches.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -332,7 +331,7 @@ def _stage_match(config: PipelineConfig, out: Path):
         for tid, cid in solution.pairs:
             writer.writerow([tid, cid, int(bucket_of[tid])])
     _write_json(out / "match.json", {
-        "mode": config.match_mode,
+        "mode": config.match.mode,
         "objective": solution.objective,
         "breakdown": solution.breakdown,
         "achieved": solution.achieved,
@@ -353,19 +352,19 @@ def _stage_match(config: PipelineConfig, out: Path):
 def _stage_tune(config: PipelineConfig, out: Path):
     _require(out, "eligible.csv", "matches.csv")
     matched = _matched_cohort(config, out)
-    target, _rules = load_trial_config(config.trial_path, config.schema)
+    target, _rules = load_trial_config(config.trial, config.schema)
     horizon = target.horizon_months
-    cf_config = replace(config.counterfactual_config, seed=config.seed + 1)
+    cf_config = replace(config.counterfactual_learner, seed=config.seed + 1)
 
     rhos = {0: 1.0, 1: 1.0}
     traces = {}
     for arm, mu in ((0, target.mu0), (1, target.mu1)):
-        if arm not in config.tune_arms:
+        if arm not in config.tune.arms:
             continue
         trace = counterfactual.TuningTrace([], [], [])
         rhos[arm] = counterfactual.tune_weight(
             matched, arm, mu, horizon, cf_config,
-            tol=config.tune_tol, rho_max=config.rho_max, trace=trace)
+            tol=config.tune.tol, rho_max=config.tune.rho_max, trace=trace)
         traces[str(arm)] = {
             "rho_sequence": trace.rho_sequence,
             "hbar_sequence": trace.hbar_sequence,
@@ -394,16 +393,16 @@ def _stage_tune(config: PipelineConfig, out: Path):
 def _stage_constrain(config: PipelineConfig, out: Path):
     _require(out, "rewards.csv", "tune.json")
     matrix = _load_rewards(out, "rewards.csv")
-    if config.constrain_factor is None:
+    factor, direction = config.constrain.factor, config.constrain.direction
+    if factor is None:
         constrained = matrix
         meta = {"enabled": False}
     else:
-        constrained = counterfactual.constrain_rewards(
-            matrix, config.constrain_factor, config.constrain_direction)
+        constrained = counterfactual.constrain_rewards(matrix, factor, direction)
         meta = {
             "enabled": True,
-            "factor": config.constrain_factor,
-            "direction": config.constrain_direction,
+            "factor": factor,
+            "direction": direction,
             "n_rows_adjusted": int(
                 (constrained.rewards != matrix.rewards).any(axis=1).sum()),
         }
@@ -424,10 +423,8 @@ def _stage_tree(config: PipelineConfig, out: Path):
     if tuple(matrix.ids) != tuple(matched.ids):
         raise ArtifactError("rewards_constrained.csv ids disagree with matches.csv")
     X = matched.covariate_matrix()
-    candidates = []
-    for tc in config.tree_grid:
-        tc = replace(tc, seed=config.seed)
-        candidates.append((tc, policy_tree.fit_policy_tree(X, matrix, tc)))
+    candidates = [(tc, policy_tree.fit_policy_tree(X, matrix, tc))
+                  for tc in config.tree.configs(seed=config.seed)]
     selected = policy_tree.select_tree(candidates, matrix, X)
     (out / "tree.json").write_text(selected.to_json() + "\n", encoding="utf-8")
     (out / "tree.txt").write_text(
@@ -502,7 +499,7 @@ def _stage_validate(config: PipelineConfig, out: Path):
     arms, leaf_ids = policy_tree.assign(tree, X)
 
     subgroups = policy_tree.subgroup_report(
-        tree, matched, matrix, config.min_effect)
+        tree, matched, matrix, config.tree.min_effect)
 
     artifacts = ["validation.json"]
     groups = {}
@@ -544,7 +541,7 @@ def _stage_validate(config: PipelineConfig, out: Path):
 
     _write_json(out / "validation.json", {
         "subgroups": {str(k): v for k, v in subgroups.items()},
-        "min_effect": config.min_effect,
+        "min_effect": config.tree.min_effect,
         "groups": groups,
         "balance": balance,
     })
@@ -575,9 +572,9 @@ def _input_sha256(path) -> str:
 def _config_digest(config: PipelineConfig) -> str:
     """Digest of the config and of the cohort and trial file contents, so a
     changed input invalidates every recorded stage."""
-    doc = json.dumps(dict(config.describe(),
-                          cohort_sha256=_input_sha256(config.cohort_path),
-                          trial_sha256=_input_sha256(config.trial_path)),
+    doc = json.dumps(dict(asdict(config),
+                          cohort_sha256=_input_sha256(config.cohort),
+                          trial_sha256=_input_sha256(config.trial)),
                      sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 

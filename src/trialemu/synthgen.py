@@ -15,9 +15,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .cohort import Cohort, CovariateSchema, TrialTarget
+from .config import build, read_yaml
 from .errors import ConfigError
 from .survival_stats import km_curve
 
@@ -58,8 +58,8 @@ class SubgroupRule:
 
 @dataclass(frozen=True)
 class DGPConfig:
-    n_obs: int = 1000
-    n_rct: int = 2000
+    n_obs: int
+    n_rct: int
     covariates: tuple[CovariateSpec, ...] = ()
     gamma_u: float = 0.0  # unobserved confounder strength
     gamma_x: float = 0.0  # observed confounding strength (risk -> treatment)
@@ -220,47 +220,7 @@ def generate_rct_target(config: DGPConfig):
 
 def load_dgp_config(path) -> DGPConfig:
     """Read a generator config from its YAML description."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    covariates = []
-    for entry in raw.get("covariates") or []:
-        covariates.append(CovariateSpec(
-            name=entry["name"],
-            kind=entry["kind"],
-            p=float(entry.get("p", 0.5)),
-            mean=float(entry.get("mean", 0.0)),
-            sd=float(entry.get("sd", 1.0)),
-            hazard_coef=float(entry.get("hazard_coef", 0.0)),
-        ))
-    subgroup = None
-    if raw.get("subgroup"):
-        sg = raw["subgroup"]
-        subgroup = SubgroupRule(
-            covariate=sg["covariate"],
-            threshold=float(sg["threshold"]),
-            side=sg["side"],
-            multiplier=float(sg["multiplier"]),
-        )
-    try:
-        return DGPConfig(
-            n_obs=int(raw["n_obs"]),
-            n_rct=int(raw["n_rct"]),
-            covariates=tuple(covariates),
-            gamma_u=float(raw.get("gamma_u", 0.0)),
-            gamma_x=float(raw.get("gamma_x", 0.0)),
-            base_hazard=float(raw.get("base_hazard", 0.015)),
-            treatment_multiplier=float(raw.get("treatment_multiplier", 1.0)),
-            subgroup=subgroup,
-            treatment_log_odds=float(raw.get("treatment_log_odds", 0.0)),
-            censoring_hazard=float(raw.get("censoring_hazard", 0.003)),
-            max_followup_months=float(raw.get("max_followup_months", 120.0)),
-            horizon_months=float(raw.get("horizon_months", 60.0)),
-            seed=int(raw.get("seed", 0)),
-            tolerance_outcome=float(raw.get("tolerance_outcome", 0.02)),
-            tolerance_covariate=float(raw.get("tolerance_covariate", 0.03)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from None
+    return build(DGPConfig, read_yaml(path), path)
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:

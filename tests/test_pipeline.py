@@ -14,6 +14,7 @@ from trialemu.errors import (
     TargetInfeasibleError,
     UnreachableTargetError,
 )
+from trialemu.policy_tree import PolicyTreeConfig
 
 from conftest import mini_pipeline_doc, read_csv_dicts
 
@@ -147,6 +148,18 @@ def test_load_pipeline_config_missing_key(tmp_path):
     path = write_config(tmp_path, {"cohort": "c.csv"})
     with pytest.raises(ConfigError):
         pipeline.load_pipeline_config(path)
+
+
+def test_omitted_keys_take_the_dataclass_defaults(mini_corpus, tmp_path):
+    doc = mini_pipeline_doc(mini_corpus)
+    del doc["constrain"]
+    doc["counterfactual_learner"] = {"n_trees": 3}
+    cfg = load_config(tmp_path, doc)
+    assert cfg.constrain == pipeline.ConstrainSection(factor=None)
+    assert cfg.counterfactual_learner.n_trees == 3
+    assert cfg.counterfactual_learner.bootstrap is False
+    assert cfg.tree.configs(seed=5)[0] == PolicyTreeConfig(
+        max_depth=1, min_leaf=15, seed=5)
 
 
 def test_report_bundle_contents(mini_run):
