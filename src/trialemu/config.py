@@ -5,7 +5,8 @@ dataclass is the only listing of its YAML keys and defaults: a field is a
 key, a nested dataclass a section and ``tuple[X, ...]`` a list. Unknown
 keys, missing required keys, values of the wrong type and values the
 dataclass rejects raise ``ConfigError`` naming the file and the dotted
-key, e.g. ``pipeline.yaml: match.lamda_outcome: unknown key``.
+key, e.g. ``pipeline.yaml: match.lamda_outcome: unknown key``; a key
+given twice in one mapping names the file and the key.
 """
 
 from __future__ import annotations
@@ -19,11 +20,29 @@ import yaml
 from .errors import ConfigError
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a mapping key given twice; plain PyYAML keeps
+    the last value, so a repeated section would silently replace the first."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _value in node.value:
+            if not isinstance(key_node, yaml.ScalarNode):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def read_yaml(path) -> dict:
     """The mapping a YAML file holds; an empty file is an empty mapping."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except yaml.YAMLError as exc:

@@ -113,8 +113,7 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     detected violation falls back to a grid search over [1, rho_max]."""
     if not 0.0 <= target_mu <= 1.0:
         raise ConfigError("target must be a probability")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    check_tuning(tol, rho_max)
     if trace is None:
         trace = TuningTrace([], [], [])
     X_all = matched.covariate_matrix()
@@ -193,6 +192,14 @@ def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMa
         horizon=horizon,
         model_digests=(pair.model0.weight_digest, pair.model1.weight_digest),
     )
+
+
+def check_tuning(tol: float, rho_max: float) -> None:
+    """Reject a nonpositive tolerance or a weight ceiling below 1."""
+    if tol <= 0:
+        raise ConfigError("tol must be positive")
+    if rho_max < 1.0:
+        raise ConfigError("rho_max must be >= 1")
 
 
 def check_constraint(factor: float | None, direction: str) -> None:

@@ -61,6 +61,8 @@ class MatchSection:
     def __post_init__(self):
         if self.mode not in ("heuristic", "exact"):
             raise ConfigError(f"unknown match mode {self.mode!r}")
+        if self.move_budget < 0:
+            raise ConfigError("move_budget must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,7 @@ class TuneSection:
     def __post_init__(self):
         if any(arm not in (0, 1) for arm in self.arms):
             raise ConfigError("arms must be 0 and/or 1")
+        counterfactual.check_tuning(self.tol, self.rho_max)
 
 
 @dataclass(frozen=True)
@@ -345,6 +348,9 @@ def _stage_match(config: PipelineConfig, out: Path):
             },
         },
         "n_pairs": len(solution.pairs),
+        "evals": solution.evals,
+        "budget_exhausted": solution.budget_exhausted,
+        "restart": solution.restart,
     })
     return ["matches.csv", "match.json"]
 

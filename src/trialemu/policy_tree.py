@@ -148,11 +148,12 @@ def _leaf_value_sum(idx, R) -> float:
 
 
 def _candidate_splits(idx, X, R, min_leaf):
-    """All valid (feature, threshold) splits of this subset with their
-    summed best-arm child rewards, ranked by that sum descending; ties
-    rank the lowest feature, then the lowest threshold, first."""
+    """All valid (feature, threshold) splits of this subset, as the arrays
+    (summed best-arm child rewards, feature, threshold), ranked by that sum
+    descending; ties rank the lowest feature, then the lowest threshold,
+    first."""
     n = idx.size
-    out = []
+    totals, features, thresholds = [np.empty(0)], [np.empty(0, int)], [np.empty(0)]
     for f in range(X.shape[1]):
         x = X[idx, f]
         order = np.argsort(x, kind="stable")
@@ -162,15 +163,15 @@ def _candidate_splits(idx, X, R, min_leaf):
         t0, t1 = c0[-1], c1[-1]
         counts = np.arange(1, n)
         valid = (xs[1:] != xs[:-1]) & (counts >= min_leaf) & (n - counts >= min_leaf)
-        if not valid.any():
-            continue
-        left_best = np.maximum(c0[:-1], c1[:-1])
-        right_best = np.maximum(t0 - c0[:-1], t1 - c1[:-1])
-        total = left_best + right_best
-        for i in np.nonzero(valid)[0]:
-            out.append((float(total[i]), f, float((xs[i] + xs[i + 1]) / 2.0)))
-    out.sort(key=lambda c: (-c[0], c[1], c[2]))
-    return out
+        at = np.nonzero(valid)[0]
+        left_best = np.maximum(c0[at], c1[at])
+        right_best = np.maximum(t0 - c0[at], t1 - c1[at])
+        totals.append(left_best + right_best)
+        features.append(np.full(at.size, f))
+        thresholds.append((xs[at] + xs[at + 1]) / 2.0)
+    total, feature, threshold = (np.concatenate(a) for a in (totals, features, thresholds))
+    rank = np.lexsort((threshold, feature, -total))
+    return total[rank], feature[rank], threshold[rank]
 
 
 def _grow(idx, X, R, cfg, n_total, depth):
@@ -183,12 +184,13 @@ def _grow(idx, X, R, cfg, n_total, depth):
     leaf_sum = _leaf_value_sum(idx, R)
     if depth >= cfg.max_depth or idx.size < 2 * cfg.min_leaf:
         return leaf, leaf_sum
-    candidates = _candidate_splits(idx, X, R, cfg.min_leaf)
-    if not candidates:
+    _total, features, thresholds = _candidate_splits(idx, X, R, cfg.min_leaf)
+    if not features.size:
         return leaf, leaf_sum
     best_node = None
     best_sum = -np.inf
-    for _imm, f, thr in candidates[: cfg.lookahead_width]:
+    width = cfg.lookahead_width
+    for f, thr in zip(features[:width].tolist(), thresholds[:width].tolist()):
         mask = X[idx, f] < thr
         left, lsum = _grow(idx[mask], X, R, cfg, n_total, depth + 1)
         right, rsum = _grow(idx[~mask], X, R, cfg, n_total, depth + 1)

@@ -5,7 +5,10 @@ untreated patients are paired 1:1 so that the selected sub-cohort's mean
 risk and covariate means hit the trial targets while paired patients stay
 close in covariate space. Exact solving uses best-first branch-and-bound
 over per-bucket selections with an optimal within-selection pairing;
-heuristic solving uses greedy construction plus local search.
+heuristic solving uses greedy construction plus local search. Pairs never
+cross buckets, so the heuristic computes pair distances once per solve as
+one treated-by-untreated block per bucket, and its local search scores
+all candidate swaps for one selected patient in one vectorized expression.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -104,20 +107,41 @@ class MatchProblem:
             out.append((self.covariate_names.index(name), a0, a1))
         return out
 
-    def distance_matrix(self) -> np.ndarray:
-        """Squared Euclidean pair distances over the distance covariates,
-        standardized to unit variance over the pooled problem population."""
-        n1, n0 = len(self.treated_ids), len(self.untreated_ids)
-        if not self.distance_covariates:
-            return np.zeros((n1, n0))
+    def _scaled_distance_columns(self):
+        """Treated and untreated distance covariates, standardized to unit
+        variance over the pooled problem population."""
         cols = [self.covariate_names.index(c) for c in self.distance_covariates]
         pooled = np.vstack([self.treated_X[:, cols], self.untreated_X[:, cols]])
         sd = pooled.std(axis=0)
         sd[sd == 0] = 1.0
-        a = self.treated_X[:, cols] / sd
-        b = self.untreated_X[:, cols] / sd
-        diff = a[:, None, :] - b[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        return self.treated_X[:, cols] / sd, self.untreated_X[:, cols] / sd
+
+    def distance_matrix(self, treated=None, untreated=None) -> np.ndarray:
+        """Squared Euclidean pair distances over the standardized distance
+        covariates between the ``treated`` rows and the ``untreated`` rows
+        (index arrays; each defaults to every row)."""
+        a, b = self._scaled_distance_columns()
+        if treated is not None:
+            a = a[treated]
+        if untreated is not None:
+            b = b[untreated]
+        return _squared_distances(a[:, None, :], b[None, :, :])
+
+    def pair_distances(self, treated, untreated) -> np.ndarray:
+        """The distance_matrix entries [treated[i], untreated[i]] alone."""
+        a, b = self._scaled_distance_columns()
+        return _squared_distances(a[treated], b[untreated])
+
+
+def _squared_distances(a, b) -> np.ndarray:
+    """Sum over the last axis of (a - b)**2, the other axes broadcast. The
+    covariates are added one at a time, in order, so every entry has the
+    same bits whichever block or pair list it is computed in."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    for k in range(a.shape[-1]):
+        diff = a[..., k] - b[..., k]
+        out += diff * diff
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,6 +150,11 @@ class MatchSolution:
     objective: float
     breakdown: dict
     achieved: dict
+    # Heuristic local search of the winning restart; each restart has its
+    # own move budget. None/False when no search ran (exact mode, n_sel 0).
+    evals: int | None = None
+    budget_exhausted: bool = False
+    restart: int | None = None
 
 
 def default_quotas(problem: MatchProblem) -> tuple[int, ...]:
@@ -230,8 +259,7 @@ def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
     sel_t = np.array([t_index[tid] for tid, _ in solution.pairs])
     sel_c = np.array([c_index[cid] for _, cid in solution.pairs])
     ot, oc, ct, cc, wt, wc, n_sel = _selection_terms(problem, sel_t, sel_c)
-    D = problem.distance_matrix()
-    dist_sum = float(D[sel_t, sel_c].sum())
+    dist_sum = float(problem.pair_distances(sel_t, sel_c).sum())
     total = _objective_from_terms(problem, ot, oc, ct, cc, dist_sum, n_sel)
     return {
         "outcome_treated": ot,
@@ -443,51 +471,70 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
 # --- heuristic: greedy construction + local search --------------------------
 
 class _HeurState:
-    """Selection state with O(1)-per-move objective deltas via running sums."""
+    """Selection state of one heuristic restart.
 
-    def __init__(self, problem: MatchProblem, T, C, quotas, D):
+    Pair distances come from per-bucket blocks: ``blocks[k]`` holds the
+    distances from the treated patients ``T[k]`` (rows) to the untreated
+    ``C[k]`` (columns), and ``t_pos``/``c_pos`` give each patient's row or
+    column in its bucket's block. ``partner`` maps each selected treated
+    patient to its untreated partner and ``treated_of`` maps back. Running
+    sums of the selected risks, covariates and pair distances give a swap's
+    objective without a full re-evaluation; ``swap_objectives`` scores
+    every candidate for one selected patient in one numpy expression.
+    """
+
+    def __init__(self, problem: MatchProblem, T, C, quotas, blocks):
         self.p = problem
-        self.D = D
+        self.blocks = blocks
+        self.bucket = problem.treated_bucket.tolist()
+        self.t_pos = np.empty(len(problem.treated_ids), int)
+        self.c_pos = np.empty(len(problem.untreated_ids), int)
+        for k in range(len(blocks)):
+            self.t_pos[T[k]] = np.arange(len(T[k]))
+            self.c_pos[C[k]] = np.arange(len(C[k]))
         self.quotas = quotas
         self.n_sel = int(sum(quotas))
         self.tgt_cols = problem.target_columns()
         self.sel_t: list[int] = []
         self.sel_c: list[int] = []
         self.partner: dict[int, int] = {}
-        self.bucket_of: dict[int, int] = {}
+        self.treated_of: dict[int, int] = {}
         self.sum_tw = 0.0
         self.sum_cw = 0.0
         self.sum_tcol = {c: 0.0 for c, _, _ in self.tgt_cols}
         self.sum_ccol = {c: 0.0 for c, _, _ in self.tgt_cols}
         self.dist_sum = 0.0
 
-    def _add_pair(self, ti: int, ci: int, k: int) -> None:
+    def dist(self, ti: int, ci: int) -> float:
+        return float(self.blocks[self.bucket[ti]][self.t_pos[ti], self.c_pos[ci]])
+
+    def _add_pair(self, ti: int, ci: int) -> None:
         self.sel_t.append(ti)
         self.sel_c.append(ci)
         self.partner[ti] = ci
-        self.bucket_of[ti] = k
+        self.treated_of[ci] = ti
         self.sum_tw += float(self.p.treated_risks[ti])
         self.sum_cw += float(self.p.untreated_risks[ci])
         for c in self.sum_tcol:
             self.sum_tcol[c] += float(self.p.treated_X[ti, c])
             self.sum_ccol[c] += float(self.p.untreated_X[ci, c])
-        self.dist_sum += float(self.D[ti, ci])
+        self.dist_sum += self.dist(ti, ci)
 
     def greedy_fill(self, T, C) -> None:
         for k, q in enumerate(self.quotas):
             if q == 0:
                 continue
-            sub = self.D[np.ix_(T[k], C[k])]
-            flat_order = np.argsort(sub, axis=None, kind="stable")
+            block = self.blocks[k]
+            flat_order = np.argsort(block, axis=None, kind="stable")
+            rows, cols = np.unravel_index(flat_order, block.shape)
+            tk, ck = T[k].tolist(), C[k].tolist()
             used_t, used_c = set(), set()
-            for pos in flat_order:
-                a, b = np.unravel_index(pos, sub.shape)
-                ti, ci = int(T[k][a]), int(C[k][b])
-                if ti in used_t or ci in used_c:
+            for a, b in zip(rows.tolist(), cols.tolist()):
+                if a in used_t or b in used_c:
                     continue
-                used_t.add(ti)
-                used_c.add(ci)
-                self._add_pair(ti, ci, k)
+                used_t.add(a)
+                used_c.add(b)
+                self._add_pair(tk[a], ck[b])
                 if len(used_t) == q:
                     break
 
@@ -498,9 +545,11 @@ class _HeurState:
             sel_t = rng.choice(T[k], size=q, replace=False)
             sel_c = rng.choice(C[k], size=q, replace=False)
             for ti, ci in zip(sel_t, sel_c):
-                self._add_pair(int(ti), int(ci), k)
+                self._add_pair(int(ti), int(ci))
 
     def _objective_from_sums(self, sum_tw, sum_cw, sum_tcol, sum_ccol, dist_sum):
+        """Scalars give one objective; arrays give one per element, each
+        bitwise equal to the scalar evaluation of that element's sums."""
         p = self.p
         n = self.n_sel
         tgt = p.risk_target
@@ -516,65 +565,68 @@ class _HeurState:
         return self._objective_from_sums(
             self.sum_tw, self.sum_cw, self.sum_tcol, self.sum_ccol, self.dist_sum)
 
-    def swap_delta_objective(self, side: str, old: int, new: int) -> float:
-        """Objective after swapping selected patient old for unselected new."""
-        p = self.p
-        if side == "treated":
-            j = self.partner[old]
-            sum_tw = self.sum_tw + float(p.treated_risks[new]) - float(p.treated_risks[old])
-            sum_tcol = {c: self.sum_tcol[c] + float(p.treated_X[new, c])
-                        - float(p.treated_X[old, c]) for c in self.sum_tcol}
-            dist = self.dist_sum + float(self.D[new, j]) - float(self.D[old, j])
-            return self._objective_from_sums(sum_tw, self.sum_cw, sum_tcol,
-                                             self.sum_ccol, dist)
-        t = self._treated_of(old)
-        sum_cw = self.sum_cw + float(p.untreated_risks[new]) - float(p.untreated_risks[old])
-        sum_ccol = {c: self.sum_ccol[c] + float(p.untreated_X[new, c])
-                    - float(p.untreated_X[old, c]) for c in self.sum_ccol}
-        dist = self.dist_sum + float(self.D[t, new]) - float(self.D[t, old])
-        return self._objective_from_sums(self.sum_tw, sum_cw, self.sum_tcol,
-                                         sum_ccol, dist)
+    def selected(self, side: str, k: int) -> list[int]:
+        """Bucket k's selected patients on one side, in selection order."""
+        members = [t for t in self.sel_t if self.bucket[t] == k]
+        return members if side == "treated" else [self.partner[t] for t in members]
 
-    def _treated_of(self, ci: int) -> int:
-        for t, c in self.partner.items():
-            if c == ci:
-                return t
-        raise KeyError(ci)
+    def swap_objectives(self, side: str, old: int, news: np.ndarray) -> np.ndarray:
+        """Objective after swapping selected patient old for each unselected
+        patient in news; each swapped sum is formed as (sum + new) - old."""
+        p = self.p
+        sum_tw, sum_cw = self.sum_tw, self.sum_cw
+        sum_tcol, sum_ccol = self.sum_tcol, self.sum_ccol
+        if side == "treated":
+            d = self.blocks[self.bucket[old]][:, self.c_pos[self.partner[old]]]
+            d_new, d_old = d[self.t_pos[news]], d[self.t_pos[old]]
+            sum_tw = (sum_tw + p.treated_risks[news]) - p.treated_risks[old]
+            sum_tcol = {c: (v + p.treated_X[news, c]) - p.treated_X[old, c]
+                        for c, v in sum_tcol.items()}
+        else:
+            t = self.treated_of[old]
+            d = self.blocks[self.bucket[t]][self.t_pos[t]]
+            d_new, d_old = d[self.c_pos[news]], d[self.c_pos[old]]
+            sum_cw = (sum_cw + p.untreated_risks[news]) - p.untreated_risks[old]
+            sum_ccol = {c: (v + p.untreated_X[news, c]) - p.untreated_X[old, c]
+                        for c, v in sum_ccol.items()}
+        dist = (self.dist_sum + d_new) - d_old
+        return self._objective_from_sums(sum_tw, sum_cw, sum_tcol, sum_ccol, dist)
 
     def apply_swap(self, side: str, old: int, new: int) -> None:
         p = self.p
         if side == "treated":
             j = self.partner.pop(old)
-            k = self.bucket_of.pop(old)
             self.sel_t[self.sel_t.index(old)] = new
             self.partner[new] = j
-            self.bucket_of[new] = k
+            self.treated_of[j] = new
             self.sum_tw += float(p.treated_risks[new]) - float(p.treated_risks[old])
             for c in self.sum_tcol:
                 self.sum_tcol[c] += float(p.treated_X[new, c]) - float(p.treated_X[old, c])
-            self.dist_sum += float(self.D[new, j]) - float(self.D[old, j])
+            self.dist_sum += self.dist(new, j) - self.dist(old, j)
         else:
-            t = self._treated_of(old)
+            t = self.treated_of.pop(old)
             self.sel_c[self.sel_c.index(old)] = new
             self.partner[t] = new
+            self.treated_of[new] = t
             self.sum_cw += float(p.untreated_risks[new]) - float(p.untreated_risks[old])
             for c in self.sum_ccol:
                 self.sum_ccol[c] += float(p.untreated_X[new, c]) - float(p.untreated_X[old, c])
-            self.dist_sum += float(self.D[t, new]) - float(self.D[t, old])
+            self.dist_sum += self.dist(t, new) - self.dist(t, old)
 
     def repair_bucket(self, k: int) -> bool:
         """Optimally re-pair bucket k's current selection; True if improved."""
-        members = [t for t in self.sel_t if self.bucket_of[t] == k]
+        members = self.selected("treated", k)
         if len(members) < 2:
             return False
         cs = [self.partner[t] for t in members]
-        sub = self.D[np.ix_(members, cs)]
+        sub = self.blocks[k][np.ix_(self.t_pos[members], self.c_pos[cs])]
         ri, ci = linear_sum_assignment(sub)
         new_cost = float(sub[ri, ci].sum())
         old_cost = float(np.trace(sub))
         if new_cost < old_cost - 1e-15:
             for a, b in zip(ri, ci):
                 self.partner[members[a]] = cs[b]
+                self.treated_of[cs[b]] = members[a]
             self.dist_sum += new_cost - old_cost
             return True
         return False
@@ -589,21 +641,26 @@ def _solve_heuristic(problem: MatchProblem, seed: int, move_budget: int) -> Matc
     n_sel = int(sum(quotas))
     if n_sel == 0:
         return _build_solution(problem, np.array([], int), np.array([], int), [])
+    blocks = [problem.distance_matrix(T[k], C[k]) for k in range(len(quotas))]
     n_restarts = max(1, min(8, 200 // n_sel))
     best = None
     for restart in range(n_restarts):
         rng = None if restart == 0 else np.random.default_rng([seed, restart])
-        sol = _heuristic_once(problem, T, C, quotas, rng, move_budget)
+        sol = _heuristic_once(problem, T, C, quotas, blocks, rng, move_budget)
         key = (sol.objective, sol.pairs)
         if best is None or key < best[0]:
-            best = (key, sol)
+            best = (key, replace(sol, restart=restart))
     return best[1]
 
 
-def _heuristic_once(problem: MatchProblem, T, C, quotas, rng,
+def _heuristic_once(problem: MatchProblem, T, C, quotas, blocks, rng,
                     move_budget: int) -> MatchSolution:
-    D = problem.distance_matrix()
-    state = _HeurState(problem, T, C, quotas, D)
+    """One restart: fill, then sweep single swaps and bucket re-pairings
+    until a sweep finds no improvement or move_budget evaluations are
+    spent. Each selected patient takes the best improving swap, where a
+    candidate replaces the running best only when it is better by more
+    than 1e-12; an evaluation past the budget ends the search."""
+    state = _HeurState(problem, T, C, quotas, blocks)
     if rng is None:
         state.greedy_fill(T, C)
     else:
@@ -618,30 +675,21 @@ def _heuristic_once(problem: MatchProblem, T, C, quotas, rng,
     while sweep_improved and evals < move_budget:
         sweep_improved = False
         for k in range(K):
-            for side in ("treated", "untreated"):
-                pool = T[k] if side == "treated" else C[k]
-                if side == "treated":
-                    selected = [t for t in state.sel_t if state.bucket_of[t] == k]
-                    chosen = set(selected)
-                else:
-                    selected = [state.partner[t] for t in state.sel_t
-                                if state.bucket_of[t] == k]
-                    chosen = set(selected)
-                unselected = [int(i) for i in pool if int(i) not in chosen]
+            for side, pool in (("treated", T[k]), ("untreated", C[k])):
+                selected = state.selected(side, k)
+                unselected = pool[~np.isin(pool, selected)]
                 for old in selected:
-                    best_new = None
-                    best_obj = current
-                    for new in unselected:
-                        evals += 1
-                        if evals > move_budget:
-                            break
-                        trial = state.swap_delta_objective(side, old, new)
-                        if trial < best_obj - 1e-12:
-                            best_obj = trial
-                            best_new = new
-                    if best_new is not None:
-                        state.apply_swap(side, old, best_new)
-                        unselected[unselected.index(best_new)] = old
+                    n_scored = min(unselected.size, move_budget - evals)
+                    # the one evaluation past the budget counts, unscored
+                    evals += n_scored + (n_scored < unselected.size)
+                    trials = state.swap_objectives(side, old, unselected[:n_scored])
+                    best_pos, best_obj = None, current
+                    for pos in np.flatnonzero(trials < current - 1e-12).tolist():
+                        if trials[pos] < best_obj - 1e-12:
+                            best_pos, best_obj = pos, float(trials[pos])
+                    if best_pos is not None:
+                        state.apply_swap(side, old, int(unselected[best_pos]))
+                        unselected[best_pos] = old
                         current = best_obj
                         sweep_improved = True
                     if evals > move_budget:
@@ -656,6 +704,7 @@ def _heuristic_once(problem: MatchProblem, T, C, quotas, rng,
 
     st = np.array(state.sel_t, int)
     sc = np.array(state.sel_c, int)
-    sc_list = state.sel_c
-    pairing = [sc_list.index(state.partner[t]) for t in state.sel_t]
-    return _build_solution(problem, st, sc, pairing)
+    slot = {ci: i for i, ci in enumerate(state.sel_c)}
+    pairing = [slot[state.partner[t]] for t in state.sel_t]
+    return replace(_build_solution(problem, st, sc, pairing), evals=evals,
+                   budget_exhausted=evals > move_budget or sweep_improved)

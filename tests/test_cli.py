@@ -117,6 +117,11 @@ PIPELINE_CONFIG_ERRORS = {
                   "tree.grid[0].seed"),
     "grid-shared-key": ("tree", "tree: {grid: [{max_depth: 1, lookahead_width: 2}]}",
                         "tree.grid[0].lookahead_width"),
+    "negative-move-budget": ("match", "match: {move_budget: -5}", "match"),
+    "tune-tol": ("tune", "tune: {arms: [0], tol: -1}", "tune"),
+    "tune-rho-max": ("tune", "tune: {arms: [0], rho_max: 0.5}", "tune"),
+    "duplicate-key": ("match", "match: {mode: heuristic}\nmatch: {move_budget: 5}",
+                      "duplicate key 'match'"),
 }
 
 

@@ -175,3 +175,5 @@ class TestTuneWeight:
             tune_weight(matched, 0, 1.5, HORIZON, CFG)
         with pytest.raises(ConfigError):
             tune_weight(matched, 0, 0.5, HORIZON, CFG, tol=0.0)
+        with pytest.raises(ConfigError):
+            tune_weight(matched, 0, 0.5, HORIZON, CFG, rho_max=0.5)

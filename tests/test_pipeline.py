@@ -162,6 +162,19 @@ def test_omitted_keys_take_the_dataclass_defaults(mini_corpus, tmp_path):
         max_depth=1, min_leaf=15, seed=5)
 
 
+@pytest.mark.parametrize("budget, exhausted", [(1, True), (10**6, False)])
+def test_match_json_reports_the_move_budget(mini_corpus, tmp_path, budget,
+                                            exhausted):
+    doc = mini_pipeline_doc(mini_corpus)
+    doc["match"]["move_budget"] = budget
+    pipeline.run_pipeline(load_config(tmp_path, doc), tmp_path / "run",
+                          until="match")
+    match = json.loads((tmp_path / "run" / "match.json").read_text())
+    assert match["budget_exhausted"] is exhausted
+    assert 0 < match["evals"] <= budget + 1
+    assert isinstance(match["restart"], int)
+
+
 def test_report_bundle_contents(mini_run):
     out, _cfg = mini_run
     rep = pipeline.report(out)

@@ -8,6 +8,7 @@ from trialemu.errors import ConfigError, InvalidRewardsError, SchemaError
 from trialemu.policy_tree import (
     PolicyTree,
     PolicyTreeConfig,
+    _candidate_splits,
     assign,
     concordance,
     fit_policy_tree,
@@ -25,6 +26,17 @@ def test_config_validation():
         PolicyTreeConfig(lookahead_width=0)
     with pytest.raises(ConfigError):
         PolicyTreeConfig(max_depth=-1)
+
+
+def test_candidate_splits_rank_ties_by_feature_then_threshold():
+    # two identical features; the middle split of either scores 4, the
+    # outer splits 3, so only the tie rule orders each group
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    R = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    total, feature, threshold = _candidate_splits(np.arange(4), X, R, min_leaf=1)
+    assert list(zip(total.tolist(), feature.tolist(), threshold.tolist())) == [
+        (4.0, 0, 1.5), (4.0, 1, 1.5),
+        (3.0, 0, 0.5), (3.0, 0, 2.5), (3.0, 1, 0.5), (3.0, 1, 2.5)]
 
 
 def test_uniform_rewards_give_root_only_tree():

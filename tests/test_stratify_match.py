@@ -1,5 +1,7 @@
 """Risk bucketing, quota derivation, and the matching solvers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from trialemu.stratify_match import (
     BucketSpec,
     MatchProblem,
     MatchSolution,
+    _bucket_members,
+    _HeurState,
     assign_buckets,
     default_quotas,
     evaluate_objective,
@@ -200,3 +204,144 @@ class TestSolvers:
         problem2 = make_problem([0.5], [0.5], (0.0, 1.0), (1,))
         with pytest.raises(ConfigError):
             solve(problem2, mode="annealing")
+
+
+def golden_problem(seed, n_t, n_c, boundaries, share, dist=("a", "b"),
+                   lambdas=(1.0, 1.0, 1.0)):
+    """Seeded problem with two targeted and three covariates; each bucket's
+    quota is the given share of its smaller arm."""
+    rng = np.random.default_rng(seed)
+    t_risks = rng.uniform(0.2, 0.9, n_t)
+    c_risks = rng.uniform(0.2, 0.9, n_c)
+    spec = BucketSpec(tuple(boundaries))
+    tb, cb = assign_buckets(t_risks, spec), assign_buckets(c_risks, spec)
+    quotas = [int(share * min((tb == k).sum(), (cb == k).sum()))
+              for k in range(spec.n_buckets)]
+    return MatchProblem(
+        treated_ids=tuple(f"t{i}" for i in range(n_t)),
+        treated_risks=t_risks, treated_X=rng.normal(size=(n_t, 3)),
+        untreated_ids=tuple(f"c{i}" for i in range(n_c)),
+        untreated_risks=c_risks,
+        untreated_X=rng.normal(0.3, 1.2, size=(n_c, 3)),
+        buckets=spec.with_quotas(quotas),
+        target=TrialTarget(horizon_months=60.0, mu0=0.45, mu1=0.55,
+                           covariate_targets={"a": (0.2, 0.0), "b": (0.5, -0.1)}),
+        covariate_names=("a", "b", "c"), distance_covariates=dist,
+        lambda_outcome=lambdas[0], lambda_covariate=lambdas[1],
+        lambda_distance=lambdas[2])
+
+
+# n_sel is 7 and 26 (8 restarts) and 225 (one restart)
+GOLDEN_PROBLEMS = {
+    "one-bucket": dict(seed=1, n_t=14, n_c=18, boundaries=(0.0, 1.0), share=0.5),
+    "one-bucket-no-distance": dict(seed=2, n_t=14, n_c=18,
+                                   boundaries=(0.0, 1.0), share=0.5, dist=()),
+    "three-buckets": dict(seed=3, n_t=45, n_c=60,
+                          boundaries=(0.0, 0.45, 0.6, 1.0), share=0.6,
+                          lambdas=(2.0, 0.5, 0.3)),
+    "single-restart": dict(seed=4, n_t=330, n_c=360,
+                           boundaries=(0.0, 0.5, 1.0), share=0.7),
+}
+
+# (problem, move budget): (n pairs, sha256 prefix of the pairs, objective)
+# of solve(seed=7); any change to the search's float arithmetic or its
+# evaluation count shows here
+HEURISTIC_GOLDEN = {
+    ("one-bucket", 0): (7, "6c81a390be919548", 1.3042490104989721),
+    ("one-bucket", 1): (7, "5e14e71cd599ae2b", 1.227628974499126),
+    ("one-bucket", 7): (7, "93a7baae4e982510", 1.1920016492933978),
+    ("one-bucket", 50): (7, "6ca6e1dac033d1e4", 1.0307878323181294),
+    ("one-bucket", 10**6): (7, "9b393c96558cdc34", 0.43819174000253214),
+    ("one-bucket-no-distance", 0): (7, "237210956b917896", 0.5581102298975921),
+    ("one-bucket-no-distance", 1): (7, "237210956b917896", 0.5581102298975921),
+    ("one-bucket-no-distance", 7): (7, "237210956b917896", 0.5581102298975921),
+    ("one-bucket-no-distance", 50): (7, "5a0bb09be5f7aba8", 0.24664517799606755),
+    ("one-bucket-no-distance", 10**6): (7, "ce380c04c6cb373f", 0.06841087995991119),
+    ("three-buckets", 0): (26, "d532bb11fc986358", 0.5537191731736675),
+    ("three-buckets", 1): (26, "d93d007bee7533ff", 0.5190434510133237),
+    ("three-buckets", 7): (26, "db0ea0fb47e30ff6", 0.49277302540318535),
+    ("three-buckets", 50): (26, "028eb762ef6151c4", 0.40484459955459845),
+    ("three-buckets", 10**6): (26, "f3c1de6bf319dc38", 0.14510876617559887),
+    ("single-restart", 0): (225, "abf55ee2f9d9dc1d", 0.8421482475266814),
+    ("single-restart", 1): (225, "abf55ee2f9d9dc1d", 0.8421482475266814),
+    ("single-restart", 7): (225, "a92b1b08cecac201", 0.8370299924318745),
+    ("single-restart", 50): (225, "335073c20654e3b2", 0.8313743432220267),
+    ("single-restart", 10**6): (225, "3a8c0ee6a8293aaa", 0.2805437482007893),
+}
+
+
+@pytest.mark.parametrize("name, budget", HEURISTIC_GOLDEN,
+                         ids=[f"{n}-{b}" for n, b in HEURISTIC_GOLDEN])
+def test_heuristic_golden_outputs(name, budget):
+    sol = solve(golden_problem(**GOLDEN_PROBLEMS[name]), seed=7,
+                move_budget=budget)
+    digest = hashlib.sha256(
+        ";".join(f"{t},{c}" for t, c in sol.pairs).encode()).hexdigest()[:16]
+    assert (len(sol.pairs), digest, float(sol.objective)) == \
+        HEURISTIC_GOLDEN[name, budget]
+    # every sweep needs more than 50 evaluations; 10**6 reaches an optimum
+    assert sol.budget_exhausted == (budget < 10**6)
+    assert sol.evals <= budget + 1
+    assert 0 <= sol.restart < max(1, min(8, 200 // len(sol.pairs)))
+
+
+@pytest.mark.parametrize("name", ["three-buckets", "one-bucket-no-distance"])
+def test_swap_objectives_equal_scalar_evaluation(name):
+    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+    T, C = _bucket_members(problem)
+    quotas = problem.buckets.quotas
+    blocks = [problem.distance_matrix(T[k], C[k]) for k in range(len(quotas))]
+    state = _HeurState(problem, T, C, quotas, blocks)
+    state.random_fill(T, C, np.random.default_rng(0))
+    p = problem
+    for k in range(len(quotas)):
+        for side, pool, risks, X in (
+                ("treated", T[k], p.treated_risks, p.treated_X),
+                ("untreated", C[k], p.untreated_risks, p.untreated_X)):
+            selected = state.selected(side, k)
+            news = np.array([i for i in pool if i not in selected], int)
+            for old in selected:
+                expected = []
+                for new in news.tolist():
+                    sums = {"treated": [state.sum_tw, state.sum_tcol],
+                            "untreated": [state.sum_cw, state.sum_ccol]}
+                    w, cols = sums[side]
+                    sums[side] = [
+                        w + float(risks[new]) - float(risks[old]),
+                        {c: v + float(X[new, c]) - float(X[old, c])
+                         for c, v in cols.items()}]
+                    if side == "treated":
+                        j = state.partner[old]
+                        d_new, d_old = state.dist(new, j), state.dist(old, j)
+                    else:
+                        t = state.treated_of[old]
+                        d_new, d_old = state.dist(t, new), state.dist(t, old)
+                    expected.append(state._objective_from_sums(
+                        sums["treated"][0], sums["untreated"][0],
+                        sums["treated"][1], sums["untreated"][1],
+                        state.dist_sum + d_new - d_old))
+                got = state.swap_objectives(side, old, news)
+                assert got.tolist() == expected  # bitwise, not approximate
+
+
+def test_blocks_and_pair_distances_equal_the_full_matrix():
+    problem = golden_problem(seed=5, n_t=40, n_c=50, boundaries=(0.0, 0.5, 1.0),
+                             share=0.5, dist=("a", "b", "c"))
+    full = problem.distance_matrix()
+    T, C = _bucket_members(problem)
+    for k in range(2):
+        assert (problem.distance_matrix(T[k], C[k]) == full[np.ix_(T[k], C[k])]).all()
+    ti, ci = np.arange(40), np.arange(50)[::-1][:40]
+    assert (problem.pair_distances(ti, ci) == full[ti, ci]).all()
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_solution_reports_the_local_search(mode):
+    problem = make_problem([0.55, 0.6], [0.58, 0.5], (0.0, 1.0), (1,))
+    sol = solve(problem, mode=mode, move_budget=1)
+    if mode == "exact":
+        assert (sol.evals, sol.budget_exhausted, sol.restart) == (None, False, None)
+    else:
+        # one treated and one untreated candidate: the second is past the budget
+        assert (sol.evals, sol.budget_exhausted) == (2, True)
+        assert sol.restart in range(8)
