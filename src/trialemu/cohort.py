@@ -144,10 +144,16 @@ class TrialTarget:
     tolerance_covariate: float = 0.03
 
     def __post_init__(self):
-        if self.horizon_months <= 0:
-            raise ConfigError("horizon_months must be positive")
+        if not 0 < self.horizon_months < math.inf:
+            raise ConfigError("horizon_months must be positive and finite")
         if not (0.0 <= self.mu0 <= 1.0 and 0.0 <= self.mu1 <= 1.0):
             raise ConfigError("mu0/mu1 must be probabilities")
+        for name in ("tolerance_outcome", "tolerance_covariate"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be nonnegative")
+        for name, means in self.covariate_targets.items():
+            if not all(map(math.isfinite, means)):
+                raise ConfigError(f"covariate_targets: {name}: means must be finite")
 
     def validate_against(self, schema: CovariateSchema):
         for name in self.covariate_targets:

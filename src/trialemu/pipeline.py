@@ -23,6 +23,7 @@ from . import counterfactual, learner, policy_tree, stratify_match, survival_sta
 from .cohort import (
     Cohort,
     CovariateSchema,
+    TrialTarget,
     apply_eligibility,
     binarize_at_horizon,
     load_cohort,
@@ -237,9 +238,8 @@ def _matched_cohort(config: PipelineConfig, out: Path) -> Cohort:
     return eligible.subset(matched_ids)
 
 
-def _build_problem(config: PipelineConfig, eligible: Cohort, risks: dict,
-                   quotas=None) -> stratify_match.MatchProblem:
-    target, _rules = load_trial_config(config.trial, config.schema)
+def _build_problem(config: PipelineConfig, target: TrialTarget, eligible: Cohort,
+                   risks: dict, quotas=None) -> stratify_match.MatchProblem:
     spec = stratify_match.BucketSpec(config.buckets)
     if quotas is not None:
         spec = spec.with_quotas(quotas)
@@ -298,7 +298,7 @@ def _stage_stratify(config: PipelineConfig, out: Path):
         for pid, r in zip(eligible.ids, risks):
             writer.writerow([pid, repr(float(r))])
 
-    problem = _build_problem(config, eligible, dict(zip(eligible.ids, risks)))
+    problem = _build_problem(config, target, eligible, dict(zip(eligible.ids, risks)))
     if config.quotas is not None:
         quotas = config.quotas
     else:
@@ -322,8 +322,9 @@ def _stage_stratify(config: PipelineConfig, out: Path):
 def _stage_match(config: PipelineConfig, out: Path):
     _require(out, "eligible.csv", "risks.csv", "stratify.json")
     eligible = load_cohort(out / "eligible.csv", config.schema)
+    target, _rules = load_trial_config(config.trial, config.schema)
     quotas = _read_json(out / "stratify.json")["quotas"]
-    problem = _build_problem(config, eligible, _load_risks(out), quotas=quotas)
+    problem = _build_problem(config, target, eligible, _load_risks(out), quotas=quotas)
     solution = stratify_match.solve(
         problem, mode=config.match.mode, seed=config.seed,
         move_budget=config.match.move_budget)

@@ -3,8 +3,8 @@
 Patients are bucketed by baseline risk; within each bucket, treated and
 untreated patients are paired 1:1 so that the selected sub-cohort's mean
 risk and covariate means hit the trial targets while paired patients stay
-close in covariate space. Exact solving uses best-first branch-and-bound
-over per-bucket selections with an optimal within-selection pairing;
+close in covariate space. Exact solving is one mixed-integer program over
+the same-bucket pairs, solved by HiGHS through ``scipy.optimize.milp``;
 heuristic solving uses greedy construction plus local search. Pairs never
 cross buckets, so the heuristic computes pair distances once per solve as
 one treated-by-untreated block per bucket, and its local search scores
@@ -13,13 +13,12 @@ all candidate swaps for one selected patient in one vectorized expression.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
 from .cohort import TrialTarget
 from .errors import ConfigError, InvalidSolutionError, TargetInfeasibleError
@@ -327,9 +326,17 @@ def solve(problem: MatchProblem, mode: str = "heuristic", seed: int = 0,
     raise ConfigError(f"unknown solve mode {mode!r}")
 
 
-# --- exact branch-and-bound -------------------------------------------------
+# --- exact: one mixed-integer program --------------------------------------
 
 def _solve_exact(problem: MatchProblem) -> MatchSolution:
+    """Solve the matching problem to optimality as one MILP (after
+    Zubizarreta 2012). With the quotas fixed, n_sel is fixed, so each
+    absolute deviation |sum(v) - n_sel*target| / n_sel is linear once split
+    into two nonnegative parts p and m. Only the selections s (treated) and
+    u (untreated) are binary: for fixed selections the pair variables x
+    range over a transportation polytope with integral vertices, so the
+    pairs are read back as the optimal assignment between each bucket's
+    selected patients."""
     T, C, quotas = _check_quota_feasibility(problem)
     K = problem.buckets.n_buckets
     size = 1.0
@@ -345,126 +352,57 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
     if n_sel == 0:
         return _build_solution(problem, np.array([], int), np.array([], int), [])
 
-    D = problem.distance_matrix()
-    tgt_cols = problem.target_columns()
-    risk_target = problem.risk_target
+    # columns: x per same-bucket pair in a bucket with a quota, s per
+    # treated, u per untreated, then p and m per absolute-deviation term
+    grids = [np.meshgrid(T[k], C[k], indexing="ij") for k in range(K) if quotas[k]]
+    ti = np.concatenate([t.ravel() for t, _ in grids])
+    cj = np.concatenate([c.ravel() for _, c in grids])
+    n_x, n_t, n_c = ti.size, len(problem.treated_ids), len(problem.untreated_ids)
+    n_bin = n_x + n_t + n_c  # x, s and u lie in [0, 1]
+    s_col, u_col = n_x + np.arange(n_t), n_x + n_t + np.arange(n_c)
+    tgt, lam_o = problem.risk_target, problem.lambda_outcome
+    terms = [(s_col, problem.treated_risks, tgt, lam_o),
+             (u_col, problem.untreated_risks, tgt, lam_o)]
+    for col, a0, a1 in problem.target_columns():
+        terms.append((s_col, problem.treated_X[:, col], a1, problem.lambda_covariate))
+        terms.append((u_col, problem.untreated_X[:, col], a0, problem.lambda_covariate))
 
-    # Precompute per bucket: sorted risk/covariate values for range bounds,
-    # and the q smallest distance entries for the distance bound.
-    rem_bounds = []
+    # rows: each patient's pairs sum to its s or u, each bucket selects its
+    # quota of treated (its pairs then select as many untreated), and
+    # sum(v*s) - p + m = n_sel*target per term
+    rows = [ti, n_t + cj, np.arange(n_t + n_c), n_t + n_c + problem.treated_bucket]
+    cols = [np.arange(n_x), np.arange(n_x), n_x + np.arange(n_t + n_c), s_col]
+    vals = [np.ones(2 * n_x), -np.ones(n_t + n_c), np.ones(n_t)]
+    rhs = [np.zeros(n_t + n_c), quotas]
+    cost = [problem.lambda_distance * _distance_scale(problem, n_sel)
+            * problem.pair_distances(ti, cj), np.zeros(n_t + n_c)]
+    for r, (sel_col, v, target, lam) in enumerate(terms):
+        rows.append(np.full(sel_col.size + 2, n_t + n_c + K + r))
+        cols += [sel_col, [n_bin + 2 * r, n_bin + 2 * r + 1]]
+        vals += [v, [-1.0, 1.0]]
+        rhs.append([n_sel * target])
+        cost.append([lam / n_sel] * 2)
+    n_pm = 2 * len(terms)
+    A = sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_t + n_c + K + len(terms), n_bin + n_pm))
+    rhs = np.concatenate(rhs)
+    res = milp(np.concatenate(cost),
+               integrality=np.r_[np.zeros(n_x), np.ones(n_t + n_c), np.zeros(n_pm)],
+               bounds=Bounds(0.0, np.r_[np.ones(n_bin), np.full(n_pm, np.inf)]),
+               constraints=LinearConstraint(A, rhs, rhs),
+               options={"mip_rel_gap": 0})
+    if res.status != 0:
+        raise TargetInfeasibleError(f"exact solver found no optimum: {res.message}")
+
+    chosen = res.x[n_x:n_bin] > 0.5  # s, then u
+    sel_t, sel_c, pairing = [], [], []
     for k in range(K):
-        q = quotas[k]
-        tw = np.sort(problem.treated_risks[T[k]])
-        cw = np.sort(problem.untreated_risks[C[k]])
-        tcols = {col: np.sort(problem.treated_X[T[k], col]) for col, _, _ in tgt_cols}
-        ccols = {col: np.sort(problem.untreated_X[C[k], col]) for col, _, _ in tgt_cols}
-        if q and len(T[k]) and len(C[k]):
-            dmin = float(np.sort(D[np.ix_(T[k], C[k])], axis=None)[:q].sum())
-        else:
-            dmin = 0.0
-        rem_bounds.append({
-            "tw": (float(tw[:q].sum()), float(tw[len(tw) - q:].sum())) if q else (0.0, 0.0),
-            "cw": (float(cw[:q].sum()), float(cw[len(cw) - q:].sum())) if q else (0.0, 0.0),
-            "tcols": {c: (float(v[:q].sum()), float(v[len(v) - q:].sum())) if q else (0.0, 0.0)
-                      for c, v in tcols.items()},
-            "ccols": {c: (float(v[:q].sum()), float(v[len(v) - q:].sum())) if q else (0.0, 0.0)
-                      for c, v in ccols.items()},
-            "dmin": dmin,
-        })
-
-    def abs_term_bound(cur, lo_rem, hi_rem, target_sum):
-        lo, hi = cur + lo_rem, cur + hi_rem
-        if target_sum < lo:
-            return lo - target_sum
-        if target_sum > hi:
-            return target_sum - hi
-        return 0.0
-
-    dscale = _distance_scale(problem, n_sel)
-
-    def lower_bound(k_next, sums):
-        tw_lo = tw_hi = cw_lo = cw_hi = 0.0
-        d_lo = 0.0
-        col_lo = {c: 0.0 for c, _, _ in tgt_cols}
-        col_hi = {c: 0.0 for c, _, _ in tgt_cols}
-        ccol_lo = {c: 0.0 for c, _, _ in tgt_cols}
-        ccol_hi = {c: 0.0 for c, _, _ in tgt_cols}
-        for k in range(k_next, K):
-            rb = rem_bounds[k]
-            tw_lo += rb["tw"][0]; tw_hi += rb["tw"][1]
-            cw_lo += rb["cw"][0]; cw_hi += rb["cw"][1]
-            d_lo += rb["dmin"]
-            for c, _, _ in tgt_cols:
-                col_lo[c] += rb["tcols"][c][0]; col_hi[c] += rb["tcols"][c][1]
-                ccol_lo[c] += rb["ccols"][c][0]; ccol_hi[c] += rb["ccols"][c][1]
-        bound = problem.lambda_outcome * (
-            abs_term_bound(sums["tw"], tw_lo, tw_hi, risk_target * n_sel)
-            + abs_term_bound(sums["cw"], cw_lo, cw_hi, risk_target * n_sel)
-        ) / n_sel
-        for c, a0, a1 in tgt_cols:
-            bound += problem.lambda_covariate * (
-                abs_term_bound(sums["tcol"][c], col_lo[c], col_hi[c], a1 * n_sel)
-                + abs_term_bound(sums["ccol"][c], ccol_lo[c], ccol_hi[c], a0 * n_sel)
-            ) / n_sel
-        bound += problem.lambda_distance * (sums["d"] + d_lo) * dscale
-        return bound
-
-    def bucket_expansions(k):
-        """All (treated subset, untreated subset, optimal pairing, sums) of bucket k."""
-        q = quotas[k]
-        if q == 0:
-            yield np.array([], int), np.array([], int), [], 0.0
-            return
-        for st in itertools.combinations(T[k].tolist(), q):
-            for sc in itertools.combinations(C[k].tolist(), q):
-                sub = D[np.ix_(st, sc)]
-                ri, ci = linear_sum_assignment(sub)
-                pairing = [0] * q
-                for a, b in zip(ri, ci):
-                    pairing[a] = b
-                yield np.array(st), np.array(sc), pairing, float(sub[ri, ci].sum())
-
-    # Best-first search over buckets; state carries accumulated sums.
-    counter = itertools.count()
-    init = {
-        "tw": 0.0, "cw": 0.0, "d": 0.0,
-        "tcol": {c: 0.0 for c, _, _ in tgt_cols},
-        "ccol": {c: 0.0 for c, _, _ in tgt_cols},
-    }
-    heap = [(lower_bound(0, init), next(counter), 0, init, [], [], [])]
-    best = None
-    best_obj = np.inf
-    while heap:
-        lb, _, k, sums, sel_t, sel_c, pairing = heapq.heappop(heap)
-        if lb >= best_obj - 1e-12:
-            break
-        if k == K:
-            obj = lb  # at a leaf the bound is the exact objective
-            if obj < best_obj:
-                best_obj = obj
-                best = (sel_t, sel_c, pairing)
-            continue
-        for st, sc, pr, dsum in bucket_expansions(k):
-            nsums = {
-                "tw": sums["tw"] + float(problem.treated_risks[st].sum()),
-                "cw": sums["cw"] + float(problem.untreated_risks[sc].sum()),
-                "d": sums["d"] + dsum,
-                "tcol": {c: sums["tcol"][c] + float(problem.treated_X[st, c].sum())
-                         for c, _, _ in tgt_cols},
-                "ccol": {c: sums["ccol"][c] + float(problem.untreated_X[sc, c].sum())
-                         for c, _, _ in tgt_cols},
-            }
-            nlb = lower_bound(k + 1, nsums)
-            if nlb < best_obj - 1e-12:
-                offset = len(sel_t)
-                heapq.heappush(heap, (
-                    nlb, next(counter), k + 1, nsums,
-                    sel_t + list(st), sel_c + list(sc),
-                    pairing + [offset + p for p in pr],
-                ))
-    if best is None:
-        raise TargetInfeasibleError("exact search found no feasible solution")
-    sel_t, sel_c, pairing = best
+        tk, ck = T[k][chosen[T[k]]], C[k][chosen[n_t + C[k]]]
+        _, pos = linear_sum_assignment(problem.distance_matrix(tk, ck))
+        pairing += (len(sel_c) + pos).tolist()
+        sel_t += tk.tolist()
+        sel_c += ck.tolist()
     return _build_solution(problem, np.array(sel_t, int), np.array(sel_c, int), pairing)
 
 

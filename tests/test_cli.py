@@ -159,6 +159,13 @@ TRIAL_CONFIG_ERRORS = {
         "covariate_targets",
         "covariate_targets: {x1: {arm0: 0.1, arm1: 0.2, arm2: 0.3}}",
         "covariate_targets"),
+    "horizon-nan": ("horizon_months", "horizon_months: .nan", "horizon_months"),
+    "horizon-inf": ("horizon_months", "horizon_months: .inf", "horizon_months"),
+    "negative-tolerance": ("tolerance_outcome", "tolerance_outcome: -0.5",
+                           "tolerance_outcome"),
+    "target-nan": ("covariate_targets",
+                   "covariate_targets: {x1: {arm0: .nan, arm1: 0.2}}",
+                   "covariate_targets"),
 }
 
 

@@ -345,3 +345,16 @@ def test_solution_reports_the_local_search(mode):
         # one treated and one untreated candidate: the second is past the budget
         assert (sol.evals, sol.budget_exhausted) == (2, True)
         assert sol.restart in range(8)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_exact_solves_instances_near_the_size_cap(seed):
+    # one bucket, 20 treated, 20 untreated, quota 3: C(20,3)**2 * 3! = 7.8e6
+    # candidate pairings, just under EXACT_SIZE_CAP
+    problem = golden_problem(seed, 20, 20, (0.0, 1.0), 0.15)
+    assert problem.buckets.quotas == (3,)
+    exact = solve(problem, mode="exact")
+    heur = solve(problem, mode="heuristic", seed=7)
+    assert exact.objective <= heur.objective + 1e-12
+    assert evaluate_objective(problem, exact)["total"] == exact.objective
+    assert solve(problem, mode="exact").pairs == exact.pairs
