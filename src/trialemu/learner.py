@@ -81,40 +81,44 @@ def constant_model(value: float, n_features: int, config: LearnerConfig) -> Fitt
     )
 
 
+def split_scan(x, columns, min_leaf):
+    """Cumulative sums of each column along the stable sort order of x, kept
+    at the valid cuts: adjacent sorted values differ and each side holds at
+    least min_leaf rows. Returns (the left sums at each cut, one array per
+    column; the column totals; the midpoint threshold of each cut). Each
+    column is summed on its own, in sorted row order."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # cut i puts sorted rows 0..i left, so both sides hold min_leaf rows
+    # exactly when lo <= i < hi
+    lo, hi = min_leaf - 1, max(x.size - min_leaf, min_leaf - 1)
+    at = lo + np.flatnonzero(xs[lo + 1:hi + 1] != xs[lo:hi])
+    sums = [np.cumsum(c[order]) for c in columns]
+    return [s[at] for s in sums], [s[-1] for s in sums], (xs[at] + xs[at + 1]) / 2.0
+
+
 def _best_split(x_node, y_node, w_node, feats, min_leaf):
     """Scan all midpoint thresholds of the given features for the lowest
     weighted Gini; ties break to the lowest feature index, then the lowest
     threshold (features are scanned ascending, thresholds via first argmin)."""
-    n = y_node.size
     best_imp = np.inf
     best = None
+    columns = [w_node, w_node * y_node]
     for f in feats:
-        x = x_node[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y_node[order]
-        ws = w_node[order]
-        cw = np.cumsum(ws)
-        cp = np.cumsum(ws * ys)
-        total_w = cw[-1]
-        total_p = cp[-1]
-        counts = np.arange(1, n)
-        valid = (xs[1:] != xs[:-1]) & (counts >= min_leaf) & (n - counts >= min_leaf)
-        if not valid.any():
+        (wl, pl), (total_w, total_p), thresholds = split_scan(
+            x_node[:, f], columns, min_leaf)
+        if not thresholds.size:
             continue
-        wl = cw[:-1]
-        pl = cp[:-1]
         wr = total_w - wl
         pr = total_p - pl
         with np.errstate(divide="ignore", invalid="ignore"):
             fl = pl / wl
             fr = pr / wr
             imp = wl * fl * (1.0 - fl) + wr * fr * (1.0 - fr)
-        imp = np.where(valid, imp, np.inf)
         i = int(np.argmin(imp))
         if imp[i] < best_imp:
             best_imp = imp[i]
-            best = (int(f), float((xs[i] + xs[i + 1]) / 2.0))
+            best = (int(f), float(thresholds[i]))
     return best
 
 

@@ -99,19 +99,17 @@ class TreeSection:
 
     grid: tuple[GridPoint, ...] = (GridPoint(1), GridPoint(2), GridPoint(3))
     min_leaf: int = PolicyTreeConfig.min_leaf
-    local_search_passes: int = PolicyTreeConfig.local_search_passes
-    lookahead_width: int = PolicyTreeConfig.lookahead_width
     min_effect: float = 0.05
 
     def __post_init__(self):
         if not self.grid:
             raise ConfigError("grid must contain at least one entry")
-        self.configs(seed=0)  # PolicyTreeConfig checks each point's bounds
+        self.configs()  # PolicyTreeConfig checks each point's bounds
 
-    def configs(self, seed: int) -> tuple[PolicyTreeConfig, ...]:
+    def configs(self) -> tuple[PolicyTreeConfig, ...]:
         return tuple(PolicyTreeConfig(
-            p.max_depth, self.min_leaf if p.min_leaf is None else p.min_leaf,
-            self.local_search_passes, self.lookahead_width, seed) for p in self.grid)
+            p.max_depth, self.min_leaf if p.min_leaf is None else p.min_leaf)
+            for p in self.grid)
 
 
 @dataclass(frozen=True)
@@ -431,7 +429,7 @@ def _stage_tree(config: PipelineConfig, out: Path):
         raise ArtifactError("rewards_constrained.csv ids disagree with matches.csv")
     X = matched.covariate_matrix()
     candidates = [(tc, policy_tree.fit_policy_tree(X, matrix, tc))
-                  for tc in config.tree.configs(seed=config.seed)]
+                  for tc in config.tree.configs()]
     selected = policy_tree.select_tree(candidates, matrix, X)
     (out / "tree.json").write_text(selected.to_json() + "\n", encoding="utf-8")
     (out / "tree.txt").write_text(

@@ -1,37 +1,38 @@
 """Axis-aligned policy trees over a two-arm reward matrix.
 
-Leaves each recommend one treatment; the tree is grown greedily to
-maximize the mean reward of its assignments, then refined by coordinate
-local search over each internal node's (feature, threshold). Routing is
-"value < threshold goes left"; boundary values go right. Node ids are
-breadth-first from 1.
+Leaves each recommend one treatment; the tree is grown greedily, with a
+lookahead over the 16 best-ranked splits of each node, to maximize the
+mean reward of its assignments. Two coordinate passes of local search
+then re-choose each internal node's (feature, threshold). Both score
+their cuts with ``learner.split_scan``. The fit is deterministic; there is
+no seed. Routing is "value < threshold goes left"; boundary values go
+right. Node ids are breadth-first from 1.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InvalidRewardsError, SchemaError
+from .learner import split_scan
 
 V_IMPROVEMENT_EPS = 1e-12
+LOOKAHEAD_WIDTH = 16  # top-ranked candidate splits grown per node
+LOCAL_SEARCH_PASSES = 2
 
 
 @dataclass(frozen=True)
 class PolicyTreeConfig:
     max_depth: int = 3
     min_leaf: int = 20
-    local_search_passes: int = 2
-    lookahead_width: int = 16  # top-ranked candidate splits grown per node
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.min_leaf < 1 or self.local_search_passes < 0:
+        if self.max_depth < 0 or self.min_leaf < 1:
             raise ConfigError("invalid policy tree config bounds")
-        if self.lookahead_width < 1:
-            raise ConfigError("lookahead_width must be >= 1")
 
 
 @dataclass
@@ -135,16 +136,34 @@ class PolicyTree:
         return "\n".join(lines)
 
 
-def _leaf_from(idx, R) -> Node:
-    s0 = float(R[idx, 0].sum())
-    s1 = float(R[idx, 1].sum())
-    n = idx.size
-    arm = 1 if s1 > s0 else 0  # exact tie -> control
-    return Node(arm=arm, n=n, mean_r0=s0 / n, mean_r1=s1 / n)
-
-
 def _leaf_value_sum(idx, R) -> float:
     return max(float(R[idx, 0].sum()), float(R[idx, 1].sum()))
+
+
+def _walk(node, X, rows):
+    """(node, rows reaching it), breadth-first. A node's rows are split only
+    after the caller has seen the node, so a split it changed is used."""
+    queue = deque([(node, rows)])
+    while queue:
+        nd, idx = queue.popleft()
+        yield nd, idx
+        if not nd.is_leaf:
+            mask = X[idx, nd.feature] < nd.threshold
+            queue.append((nd.left, idx[mask]))
+            queue.append((nd.right, idx[~mask]))
+
+
+def _tree_sum(node, leaf_values):
+    """Sum of the subtree's leaf values (keyed by leaf id()), added left
+    plus right at every internal node."""
+    if node.is_leaf:
+        return leaf_values[id(node)]
+    return _tree_sum(node.left, leaf_values) + _tree_sum(node.right, leaf_values)
+
+
+def _subtree_value(node, X, R, rows) -> float:
+    return _tree_sum(node, {id(leaf): _leaf_value_sum(idx, R)
+                            for leaf, idx in _walk(node, X, rows) if leaf.is_leaf})
 
 
 def _candidate_splits(idx, X, R, min_leaf):
@@ -152,23 +171,13 @@ def _candidate_splits(idx, X, R, min_leaf):
     (summed best-arm child rewards, feature, threshold), ranked by that sum
     descending; ties rank the lowest feature, then the lowest threshold,
     first."""
-    n = idx.size
+    columns = [R[idx, 0], R[idx, 1]]
     totals, features, thresholds = [np.empty(0)], [np.empty(0, int)], [np.empty(0)]
     for f in range(X.shape[1]):
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        c0 = np.cumsum(R[idx, 0][order])
-        c1 = np.cumsum(R[idx, 1][order])
-        t0, t1 = c0[-1], c1[-1]
-        counts = np.arange(1, n)
-        valid = (xs[1:] != xs[:-1]) & (counts >= min_leaf) & (n - counts >= min_leaf)
-        at = np.nonzero(valid)[0]
-        left_best = np.maximum(c0[at], c1[at])
-        right_best = np.maximum(t0 - c0[at], t1 - c1[at])
-        totals.append(left_best + right_best)
-        features.append(np.full(at.size, f))
-        thresholds.append((xs[at] + xs[at + 1]) / 2.0)
+        (c0, c1), (t0, t1), thr = split_scan(X[idx, f], columns, min_leaf)
+        totals.append(np.maximum(c0, c1) + np.maximum(t0 - c0, t1 - c1))
+        features.append(np.full(thr.size, f))
+        thresholds.append(thr)
     total, feature, threshold = (np.concatenate(a) for a in (totals, features, thresholds))
     rank = np.lexsort((threshold, feature, -total))
     return total[rank], feature[rank], threshold[rank]
@@ -179,18 +188,16 @@ def _grow(idx, X, R, cfg, n_total, depth):
     candidate splits (by summed best-arm child rewards) are each grown
     recursively and the one with the best final subtree value is kept;
     subtrees whose total gain stays below the improvement epsilon
-    collapse back to a leaf. Returns (node, subtree value sum)."""
-    leaf = _leaf_from(idx, R)
+    collapse back to a leaf. Returns (node, subtree value sum); leaf
+    statistics are set later by ``_refresh_stats``."""
     leaf_sum = _leaf_value_sum(idx, R)
     if depth >= cfg.max_depth or idx.size < 2 * cfg.min_leaf:
-        return leaf, leaf_sum
+        return Node(), leaf_sum
     _total, features, thresholds = _candidate_splits(idx, X, R, cfg.min_leaf)
-    if not features.size:
-        return leaf, leaf_sum
     best_node = None
     best_sum = -np.inf
-    width = cfg.lookahead_width
-    for f, thr in zip(features[:width].tolist(), thresholds[:width].tolist()):
+    for f, thr in zip(features[:LOOKAHEAD_WIDTH].tolist(),
+                      thresholds[:LOOKAHEAD_WIDTH].tolist()):
         mask = X[idx, f] < thr
         left, lsum = _grow(idx[mask], X, R, cfg, n_total, depth + 1)
         right, rsum = _grow(idx[~mask], X, R, cfg, n_total, depth + 1)
@@ -198,125 +205,76 @@ def _grow(idx, X, R, cfg, n_total, depth):
             best_sum = lsum + rsum
             best_node = Node(feature=f, threshold=thr, left=left, right=right)
     if best_sum - leaf_sum < V_IMPROVEMENT_EPS * n_total:
-        return leaf, leaf_sum
+        return Node(), leaf_sum
     return best_node, best_sum
 
 
-def _subtree_eval(node, idx, X, R):
-    """(value sum, smallest leaf count) of a subtree over the rows in idx."""
-    if node.is_leaf:
-        if idx.size == 0:
-            return 0.0, 0
-        return _leaf_value_sum(idx, R), idx.size
-    mask = X[idx, node.feature] < node.threshold
-    lv, ln = _subtree_eval(node.left, idx[mask], X, R)
-    rv, rn = _subtree_eval(node.right, idx[~mask], X, R)
-    return lv + rv, min(ln, rn)
+def _cut_scores(node, X, R, reach, min_leaf):
+    """For each feature, (value sum, smallest leaf count, threshold) of every
+    cut of the node that leaves min_leaf rows a side, with both subtrees
+    held fixed, over the rows reaching the node. The rows are routed through
+    each subtree once; a leaf of the left subtree then holds the prefix sums
+    of its one-hot reward and count columns, a leaf of the right subtree
+    the totals minus them."""
+    Xr, Rr = X[reach], R[reach]
+    leaves, columns = [], []
+    for right, sub in enumerate((node.left, node.right)):
+        for leaf, pos in _walk(sub, Xr, np.arange(reach.size)):
+            if leaf.is_leaf:
+                one_hot = np.zeros(reach.size)
+                one_hot[pos] = 1.0
+                leaves.append((leaf, right))
+                columns += [Rr[:, 0] * one_hot, Rr[:, 1] * one_hot, one_hot]
+    for f in range(X.shape[1]):
+        left_sums, totals, thresholds = split_scan(Xr[:, f], columns, min_leaf)
+        values, counts = {}, []
+        for k, (leaf, right) in enumerate(leaves):
+            s0, s1, n = left_sums[3 * k:3 * k + 3]
+            if right:
+                s0, s1, n = (t - s for t, s in zip(totals[3 * k:3 * k + 3], (s0, s1, n)))
+            values[id(leaf)] = np.maximum(s0, s1)
+            counts.append(n)
+        yield _tree_sum(node, values), np.min(counts, axis=0), thresholds
 
 
-def _route(node, X):
-    """Leaf object reached by each row."""
-    out = [None] * X.shape[0]
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            for i in idx:
-                out[i] = nd
-        else:
-            mask = X[idx, nd.feature] < nd.threshold
-            stack.append((nd.left, idx[mask]))
-            stack.append((nd.right, idx[~mask]))
-    return out
-
-
-def _refresh_stats(root: Node, X, R) -> None:
-    leaves = _route(root, X)
-    agg = {}
-    for i, leaf in enumerate(leaves):
-        s = agg.setdefault(id(leaf), [leaf, 0.0, 0.0, 0])
-        s[1] += float(R[i, 0])
-        s[2] += float(R[i, 1])
-        s[3] += 1
-    for leaf, s0, s1, n in agg.values():
-        leaf.n = n
-        leaf.mean_r0 = s0 / n
-        leaf.mean_r1 = s1 / n
-        leaf.arm = 1 if s1 > s0 else 0
-
-
-def _internal_nodes(root: Node) -> list:
-    out = []
-    queue = [root]
-    while queue:
-        nd = queue.pop(0)
-        if not nd.is_leaf:
-            out.append(nd)
-            queue.extend([nd.left, nd.right])
-    return out
-
-
-def _subset_reaching(root: Node, target: Node, X) -> np.ndarray:
-    idx = np.arange(X.shape[0])
-    path = _path_to(root, target)
-    if path is None:
-        return idx[:0]
-    for nd, go_left in path:
-        mask = X[idx, nd.feature] < nd.threshold
-        idx = idx[mask] if go_left else idx[~mask]
-    return idx
-
-
-def _path_to(root: Node, target: Node):
-    if root is target:
-        return []
-    if root.is_leaf:
-        return None
-    left = _path_to(root.left, target)
-    if left is not None:
-        return [(root, True)] + left
-    right = _path_to(root.right, target)
-    if right is not None:
-        return [(root, False)] + right
-    return None
-
-
-def _local_search(root: Node, X, R, cfg) -> None:
-    """Coordinate passes over internal nodes, re-optimizing each node's
-    (feature, threshold) with the rest of the tree held fixed. Only the
-    node's own subtree value can change, so candidates are scored on the
-    rows reaching that node."""
-    n_total = X.shape[0]
-    for _ in range(cfg.local_search_passes):
+def _local_search(root: Node, X, R, min_leaf) -> None:
+    """Coordinate passes over the internal nodes, breadth-first,
+    re-choosing each node's (feature, threshold) with the rest of the tree
+    held fixed. Only the node's own subtree value can change, so the cuts
+    are scored on the rows reaching it. Cuts are taken in feature, then
+    threshold order; one replaces the best so far only if it beats it by
+    the improvement epsilon."""
+    tol = V_IMPROVEMENT_EPS * X.shape[0]
+    for _ in range(LOCAL_SEARCH_PASSES):
         improved = False
-        for node in _internal_nodes(root):
-            reach = _subset_reaching(root, node, X)
-            if reach.size == 0:
+        for node, reach in _walk(root, X, np.arange(X.shape[0])):
+            if node.is_leaf:
                 continue
-            current, cur_min = _subtree_eval(node, reach, X, R)
-            best = (node.feature, node.threshold)
-            best_v = current
-            for f in range(X.shape[1]):
-                vals = np.unique(X[reach, f])
-                if vals.size < 2:
-                    continue
-                for thr in (vals[:-1] + vals[1:]) / 2.0:
-                    node.feature, node.threshold = f, float(thr)
-                    v, min_n = _subtree_eval(node, reach, X, R)
-                    if min_n >= cfg.min_leaf and v > best_v + V_IMPROVEMENT_EPS * n_total:
-                        best_v = v
-                        best = (f, float(thr))
-            node.feature, node.threshold = best
-            if best_v > current:
+            best_v, best = _subtree_value(node, X, R, reach), None
+            for f, (values, counts, thresholds) in enumerate(
+                    _cut_scores(node, X, R, reach, min_leaf)):
+                # best_v only rises, so only cuts above it now can be taken
+                for i in np.nonzero((counts >= min_leaf) & (values > best_v + tol))[0]:
+                    if values[i] > best_v + tol:
+                        best_v, best = values[i], (f, float(thresholds[i]))
+            if best is not None:
+                node.feature, node.threshold = best
                 improved = True
         if not improved:
             break
-    _refresh_stats(root, X, R)
 
 
-def _policy_value(root: Node, X, R) -> float:
-    total, _ = _subtree_eval(root, np.arange(X.shape[0]), X, R)
-    return total / X.shape[0]
+def _refresh_stats(root: Node, X, R) -> None:
+    """Set each leaf's count, mean rewards and arm from running sums in row
+    order; an exact tie recommends control."""
+    for leaf, idx in _walk(root, X, np.arange(X.shape[0])):
+        if leaf.is_leaf:
+            s0 = float(np.cumsum(R[idx, 0])[-1])
+            s1 = float(np.cumsum(R[idx, 1])[-1])
+            leaf.n = idx.size
+            leaf.mean_r0 = s0 / idx.size
+            leaf.mean_r1 = s1 / idx.size
+            leaf.arm = 1 if s1 > s0 else 0
 
 
 def _number_nodes(tree: PolicyTree) -> None:
@@ -344,16 +302,13 @@ def fit_policy_tree(covariates, rewards, config: PolicyTreeConfig) -> PolicyTree
     if n == 0:
         raise SchemaError("empty training data")
 
-    if n < 2 * config.min_leaf:
-        root = _leaf_from(np.arange(n), R)
-    else:
-        root, _ = _grow(np.arange(n), X, R, config, n, 0)
-        _local_search(root, X, R, config)
+    root, _ = _grow(np.arange(n), X, R, config, n, 0)
+    _local_search(root, X, R, config.min_leaf)
 
     tree = PolicyTree(root=root, config=config, n_features=X.shape[1])
     _refresh_stats(root, X, R)
     _number_nodes(tree)
-    tree.training_value = _policy_value(root, X, R)
+    tree.training_value = _subtree_value(root, X, R, np.arange(n)) / n
     return tree
 
 
@@ -362,9 +317,12 @@ def assign(tree: PolicyTree, covariates):
     X = np.asarray(covariates, dtype=float)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise SchemaError(f"expected {tree.n_features} features")
-    leaves = _route(tree.root, X)
-    arms = np.array([leaf.arm for leaf in leaves], dtype=int)
-    leaf_ids = np.array([leaf.node_id for leaf in leaves], dtype=int)
+    arms = np.empty(X.shape[0], dtype=int)
+    leaf_ids = np.empty(X.shape[0], dtype=int)
+    for leaf, idx in _walk(tree.root, X, np.arange(X.shape[0])):
+        if leaf.is_leaf:
+            arms[idx] = leaf.arm
+            leaf_ids[idx] = leaf.node_id
     return arms, leaf_ids
 
 

@@ -13,7 +13,6 @@ all candidate swaps for one selected patient in one vectorized expression.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 from .cohort import TrialTarget
 from .errors import ConfigError, InvalidSolutionError, TargetInfeasibleError
 
-EXACT_SIZE_CAP = 10**7
+EXACT_SIZE_CAP = 10**5  # pair columns of the exact MILP
 
 
 @dataclass(frozen=True)
@@ -339,14 +338,11 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
     selected patients."""
     T, C, quotas = _check_quota_feasibility(problem)
     K = problem.buckets.n_buckets
-    size = 1.0
-    for k in range(K):
-        size *= math.comb(len(T[k]), quotas[k]) * math.comb(len(C[k]), quotas[k])
-        size *= math.factorial(quotas[k])
-    if size > EXACT_SIZE_CAP:
+    n_pairs = sum(len(T[k]) * len(C[k]) for k in range(K) if quotas[k])
+    if n_pairs > EXACT_SIZE_CAP:
         raise ConfigError(
-            f"exact mode refused: ~{size:.3g} candidate pairings exceed the "
-            f"{EXACT_SIZE_CAP:g} cap; use heuristic mode")
+            f"exact mode refused: {n_pairs} pair columns exceed the "
+            f"{EXACT_SIZE_CAP} cap; use heuristic mode")
 
     n_sel = int(sum(quotas))
     if n_sel == 0:

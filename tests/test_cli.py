@@ -115,8 +115,10 @@ PIPELINE_CONFIG_ERRORS = {
                             "counterfactual_learner.seed"),
     "grid-seed": ("tree", "tree: {grid: [{max_depth: 1, seed: 2}]}",
                   "tree.grid[0].seed"),
-    "grid-shared-key": ("tree", "tree: {grid: [{max_depth: 1, lookahead_width: 2}]}",
-                        "tree.grid[0].lookahead_width"),
+    "grid-shared-key": ("tree", "tree: {grid: [{max_depth: 1, min_effect: 0.1}]}",
+                        "tree.grid[0].min_effect"),
+    "removed-tree-key": ("tree", "tree: {local_search_passes: 2}",
+                         "tree.local_search_passes"),
     "negative-move-budget": ("match", "match: {move_budget: -5}", "match"),
     "tune-tol": ("tune", "tune: {arms: [0], tol: -1}", "tune"),
     "tune-rho-max": ("tune", "tune: {arms: [0], rho_max: 0.5}", "tune"),

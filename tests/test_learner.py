@@ -17,6 +17,7 @@ from trialemu.learner import (
     constant_model,
     fit,
     predict_prob,
+    split_scan,
 )
 
 SMALL = LearnerConfig(n_trees=5, max_depth=3, min_leaf=1,
@@ -162,3 +163,18 @@ def test_upweighting_positives_raises_mean_prediction():
         w = np.where(y == 1, rho, 1.0)
         means.append(predict_prob(fit(X, y, w, cfg), X).mean())
     assert means[0] <= means[1] + 1e-12 <= means[2] + 2e-12
+
+
+def test_split_scan_keeps_exactly_the_valid_cuts():
+    # small n and large min_leaf reach the edges of the cut range
+    rng = np.random.default_rng(3)
+    for n in range(1, 30):
+        for min_leaf in range(1, 18):
+            x = rng.integers(0, 5, n).astype(float)
+            xs = np.sort(x)
+            left = np.arange(1, n)
+            valid = (xs[1:] != xs[:-1]) & (left >= min_leaf) & (n - left >= min_leaf)
+            (counts,), (total,), thresholds = split_scan(x, [np.ones(n)], min_leaf)
+            assert thresholds.tolist() == ((xs[:-1] + xs[1:]) / 2.0)[valid].tolist()
+            assert counts.tolist() == left[valid].tolist()
+            assert total == n

@@ -158,8 +158,7 @@ def test_omitted_keys_take_the_dataclass_defaults(mini_corpus, tmp_path):
     assert cfg.constrain == pipeline.ConstrainSection(factor=None)
     assert cfg.counterfactual_learner.n_trees == 3
     assert cfg.counterfactual_learner.bootstrap is False
-    assert cfg.tree.configs(seed=5)[0] == PolicyTreeConfig(
-        max_depth=1, min_leaf=15, seed=5)
+    assert cfg.tree.configs()[0] == PolicyTreeConfig(max_depth=1, min_leaf=15)
 
 
 @pytest.mark.parametrize("budget, exhausted", [(1, True), (10**6, False)])

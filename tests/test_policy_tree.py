@@ -6,9 +6,12 @@ import pytest
 from trialemu.cohort import Cohort, CovariateSchema
 from trialemu.errors import ConfigError, InvalidRewardsError, SchemaError
 from trialemu.policy_tree import (
+    Node,
     PolicyTree,
     PolicyTreeConfig,
     _candidate_splits,
+    _cut_scores,
+    _walk,
     assign,
     concordance,
     fit_policy_tree,
@@ -23,8 +26,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PolicyTreeConfig(min_leaf=0)
     with pytest.raises(ConfigError):
-        PolicyTreeConfig(lookahead_width=0)
-    with pytest.raises(ConfigError):
         PolicyTreeConfig(max_depth=-1)
 
 
@@ -37,6 +38,63 @@ def test_candidate_splits_rank_ties_by_feature_then_threshold():
     assert list(zip(total.tolist(), feature.tolist(), threshold.tolist())) == [
         (4.0, 0, 1.5), (4.0, 1, 1.5),
         (3.0, 0, 0.5), (3.0, 0, 2.5), (3.0, 1, 0.5), (3.0, 1, 2.5)]
+
+
+def _naive_value(node, X, R, rows):
+    """(value sum, smallest leaf count) of a subtree, routed and summed
+    node by node."""
+    if node.is_leaf:
+        if rows.size == 0:
+            return 0.0, 0
+        return max(R[rows, 0].sum(), R[rows, 1].sum()), rows.size
+    mask = X[rows, node.feature] < node.threshold
+    lv, ln = _naive_value(node.left, X, R, rows[mask])
+    rv, rn = _naive_value(node.right, X, R, rows[~mask])
+    return lv + rv, min(ln, rn)
+
+
+def _random_tree(rng, X, depth):
+    if depth == 0:
+        return Node()
+    f = int(rng.integers(X.shape[1]))
+    return Node(feature=f, threshold=float(rng.choice(X[:, f])) + 0.05,
+                left=_random_tree(rng, X, depth - 1),
+                right=_random_tree(rng, X, depth - 1))
+
+
+@pytest.mark.parametrize("seed, depth, min_leaf, decimals", [
+    (0, 2, 3, 1), (1, 2, 8, None), (2, 3, 2, 1), (3, 3, 5, None), (4, 3, 4, 1)])
+def test_cut_scores_equal_naive_route_and_sum(seed, depth, min_leaf, decimals):
+    # every cut of every internal node, both subtrees held fixed; rewards
+    # rounded to 0.1 make exact ties between arms and between cuts
+    rng = np.random.default_rng(seed)
+    n = 160
+    X = np.column_stack([rng.integers(0, 6, n), np.round(rng.normal(size=n), 1),
+                         rng.uniform(size=n)])
+    R = rng.uniform(size=(n, 2))
+    if decimals is not None:
+        R = np.round(R, decimals)
+    root = _random_tree(rng, X, depth)
+    checked = 0
+    for node, reach in _walk(root, X, np.arange(n)):
+        if node.is_leaf or reach.size == 0:  # a fitted tree has no empty node
+            continue
+        split = node.feature, node.threshold
+        for f, (values, counts, thresholds) in enumerate(
+                _cut_scores(node, X, R, reach, min_leaf)):
+            xs = np.unique(X[reach, f])
+            want = []
+            for thr in (xs[:-1] + xs[1:]) / 2.0:
+                n_left = int((X[reach, f] < thr).sum())
+                if min(n_left, reach.size - n_left) >= min_leaf:
+                    node.feature, node.threshold = f, float(thr)
+                    want.append((float(thr), *_naive_value(node, X, R, reach)))
+            node.feature, node.threshold = split
+            assert thresholds.tolist() == [w[0] for w in want]
+            np.testing.assert_allclose(values, [w[1] for w in want], rtol=0, atol=1e-9)
+            assert counts.astype(int).tolist() == [w[2] for w in want]
+            checked += len(want)
+    assert checked > 100
 
 
 def test_uniform_rewards_give_root_only_tree():

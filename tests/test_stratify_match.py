@@ -185,10 +185,11 @@ class TestSolvers:
         assert a.pairs == b.pairs and a.objective == b.objective
 
     def test_exact_refuses_oversized_instances(self):
+        # one bucket of 1000 x 1000 at quota 1: 10**6 pair columns
         rng = np.random.default_rng(1)
         problem = make_problem(
-            rng.uniform(0.3, 0.8, 20), rng.uniform(0.3, 0.8, 20),
-            (0.0, 1.0), (10,))
+            rng.uniform(0.3, 0.8, 1000), rng.uniform(0.3, 0.8, 1000),
+            (0.0, 1.0), (1,))
         with pytest.raises(ConfigError, match="heuristic"):
             solve(problem, mode="exact")
 
@@ -349,8 +350,8 @@ def test_solution_reports_the_local_search(mode):
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_exact_solves_instances_near_the_size_cap(seed):
-    # one bucket, 20 treated, 20 untreated, quota 3: C(20,3)**2 * 3! = 7.8e6
-    # candidate pairings, just under EXACT_SIZE_CAP
+    # one bucket, 20 treated, 20 untreated, quota 3: 7.8e6 candidate
+    # pairings, too many to enumerate, but only 400 pair columns for the MILP
     problem = golden_problem(seed, 20, 20, (0.0, 1.0), 0.15)
     assert problem.buckets.quotas == (3,)
     exact = solve(problem, mode="exact")
