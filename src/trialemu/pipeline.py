@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -189,55 +190,76 @@ def _read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _require(out: Path, *names):
-    missing = [n for n in names if not (out / n).exists()]
-    if missing:
-        raise ArtifactError(
-            f"missing artifacts {missing}; rerun the stages that produce them")
+def _write_rows(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _load_risks(out: Path) -> dict:
-    risks = {}
-    with open(out / "risks.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for pid, risk in reader:
-            risks[pid] = float(risk)
-    return risks
+def _read_rows(path: Path) -> list[list[str]]:
+    """A CSV artifact's rows, without its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
 
 
-def _load_pairs(out: Path):
-    pairs = []
-    with open(out / "matches.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for tid, cid, bucket in reader:
-            pairs.append((tid, cid, int(bucket)))
-    return pairs
+class _Run:
+    """One ``run_pipeline`` call's view of its run directory.
+
+    Stages create every artifact through ``new``, which records it for the
+    manifest, and read their inputs through the cached properties. Each
+    input is therefore parsed at most once per call, and always from the
+    file on disk, so fresh and resumed runs read their inputs the same way.
+    """
+
+    def __init__(self, config: PipelineConfig, out: Path):
+        self.config = config
+        self.out = out
+        self.written: list[str] = []
+
+    def new(self, name: str) -> Path:
+        """Record ``name`` as an artifact of the running stage; its path."""
+        self.written.append(name)
+        return self.out / name
+
+    @cached_property
+    def trial(self) -> tuple[TrialTarget, list]:
+        return load_trial_config(self.config.trial, self.config.schema)
+
+    @cached_property
+    def eligible(self) -> Cohort:
+        return load_cohort(self.out / "eligible.csv", self.config.schema)
+
+    @cached_property
+    def pairs(self) -> list[tuple[str, str, int]]:
+        return [(tid, cid, int(bucket))
+                for tid, cid, bucket in _read_rows(self.out / "matches.csv")]
+
+    @cached_property
+    def matched(self) -> Cohort:
+        return self.eligible.subset(
+            [pid for tid, cid, _ in self.pairs for pid in (tid, cid)])
+
+    @cached_property
+    def tune(self) -> dict:
+        return _read_json(self.out / "tune.json")
+
+    @cached_property
+    def constrained(self) -> counterfactual.RewardMatrix:
+        return self.rewards("rewards_constrained.csv")
+
+    def rewards(self, name: str) -> counterfactual.RewardMatrix:
+        """Parse a reward CSV; ``constrained`` caches the one later stages share."""
+        rows = _read_rows(self.out / name)
+        return counterfactual.RewardMatrix(
+            ids=tuple(pid for pid, _r0, _r1 in rows),
+            rewards=np.array([(float(r0), float(r1)) for _pid, r0, r1 in rows]),
+            horizon=self.tune["horizon_months"],
+            model_digests=tuple(self.tune["model_digests"]))
 
 
-def _load_rewards(out: Path, name: str) -> counterfactual.RewardMatrix:
-    ids, rows = [], []
-    with open(out / name, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for pid, r0, r1 in reader:
-            ids.append(pid)
-            rows.append((float(r0), float(r1)))
-    meta = _read_json(out / "tune.json")
-    return counterfactual.RewardMatrix(
-        ids=tuple(ids), rewards=np.array(rows), horizon=meta["horizon_months"],
-        model_digests=tuple(meta["model_digests"]))
-
-
-def _matched_cohort(config: PipelineConfig, out: Path) -> Cohort:
-    eligible = load_cohort(out / "eligible.csv", config.schema)
-    matched_ids = [pid for tid, cid, _ in _load_pairs(out) for pid in (tid, cid)]
-    return eligible.subset(matched_ids)
-
-
-def _build_problem(config: PipelineConfig, target: TrialTarget, eligible: Cohort,
-                   risks: dict, quotas=None) -> stratify_match.MatchProblem:
+def _build_problem(run: _Run, risks: dict, quotas=None) -> stratify_match.MatchProblem:
+    config, eligible = run.config, run.eligible
     spec = stratify_match.BucketSpec(config.buckets)
     if quotas is not None:
         spec = spec.with_quotas(quotas)
@@ -251,7 +273,7 @@ def _build_problem(config: PipelineConfig, target: TrialTarget, eligible: Cohort
         untreated_risks=np.array([risks[pid] for pid in untreated.ids]),
         untreated_X=untreated.covariate_matrix(),
         buckets=spec,
-        target=target,
+        target=run.trial[0],
         covariate_names=config.schema.names,
         distance_covariates=config.match.distance_covariates,
         lambda_outcome=config.match.lambda_outcome,
@@ -260,25 +282,29 @@ def _build_problem(config: PipelineConfig, target: TrialTarget, eligible: Cohort
     )
 
 
+def _write_rewards(path: Path, matrix: counterfactual.RewardMatrix) -> None:
+    _write_rows(path, ["id", "reward_control", "reward_treatment"],
+                ([pid, repr(float(r0)), repr(float(r1))]
+                 for pid, (r0, r1) in zip(matrix.ids, matrix.rewards)))
+
+
 # --- stages -----------------------------------------------------------------
 
-def _stage_filter(config: PipelineConfig, out: Path):
-    cohort = load_cohort(config.cohort, config.schema)
-    _target, rules = load_trial_config(config.trial, config.schema)
+def _stage_filter(run: _Run):
+    cohort = load_cohort(run.config.cohort, run.config.schema)
+    _target, rules = run.trial
     result = apply_eligibility(cohort, rules)
-    save_cohort(result.cohort, out / "eligible.csv")
-    _write_json(out / "filter.json", {
+    save_cohort(result.cohort, run.new("eligible.csv"))
+    _write_json(run.new("filter.json"), {
         "n_input": len(cohort),
         "n_eligible": len(result.cohort),
         "exclusions": result.exclusions,
     })
-    return ["eligible.csv", "filter.json"]
 
 
-def _stage_stratify(config: PipelineConfig, out: Path):
-    _require(out, "eligible.csv")
-    eligible = load_cohort(out / "eligible.csv", config.schema)
-    target, _rules = load_trial_config(config.trial, config.schema)
+def _stage_stratify(run: _Run):
+    config, eligible = run.config, run.eligible
+    target, _rules = run.trial
     untreated = eligible.take(eligible.treatments() == 0)
     if len(untreated) == 0:
         raise InsufficientDataError("no untreated patients to fit the risk model")
@@ -287,16 +313,13 @@ def _stage_stratify(config: PipelineConfig, out: Path):
     model = learner.fit(
         train.covariate_matrix(), hl.labels, np.ones(len(hl.ids)),
         replace(config.learner, seed=config.seed))
-    (out / "xray_model.json").write_text(model.to_json() + "\n", encoding="utf-8")
+    run.new("xray_model.json").write_text(model.to_json() + "\n", encoding="utf-8")
 
     risks = learner.predict_prob(model, eligible.covariate_matrix())
-    with open(out / "risks.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "risk"])
-        for pid, r in zip(eligible.ids, risks):
-            writer.writerow([pid, repr(float(r))])
+    _write_rows(run.new("risks.csv"), ["id", "risk"],
+                ([pid, repr(float(r))] for pid, r in zip(eligible.ids, risks)))
 
-    problem = _build_problem(config, target, eligible, dict(zip(eligible.ids, risks)))
+    problem = _build_problem(run, dict(zip(eligible.ids, risks)))
     if config.quotas is not None:
         quotas = config.quotas
     else:
@@ -307,32 +330,27 @@ def _stage_stratify(config: PipelineConfig, out: Path):
         "untreated": [int((problem.untreated_bucket == k).sum())
                       for k in range(problem.buckets.n_buckets)],
     }
-    _write_json(out / "stratify.json", {
+    _write_json(run.new("stratify.json"), {
         "boundaries": list(config.buckets),
         "quotas": list(quotas),
         "bucket_counts": counts,
         "n_training": len(hl.ids),
         "n_censored_excluded": len(hl.excluded_ids),
     })
-    return ["xray_model.json", "risks.csv", "stratify.json"]
 
 
-def _stage_match(config: PipelineConfig, out: Path):
-    _require(out, "eligible.csv", "risks.csv", "stratify.json")
-    eligible = load_cohort(out / "eligible.csv", config.schema)
-    target, _rules = load_trial_config(config.trial, config.schema)
-    quotas = _read_json(out / "stratify.json")["quotas"]
-    problem = _build_problem(config, target, eligible, _load_risks(out), quotas=quotas)
+def _stage_match(run: _Run):
+    config = run.config
+    quotas = _read_json(run.out / "stratify.json")["quotas"]
+    risks = {pid: float(risk) for pid, risk in _read_rows(run.out / "risks.csv")}
+    problem = _build_problem(run, risks, quotas=quotas)
     solution = stratify_match.solve(
         problem, mode=config.match.mode, seed=config.seed,
         move_budget=config.match.move_budget)
     bucket_of = dict(zip(problem.treated_ids, problem.treated_bucket))
-    with open(out / "matches.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["treated_id", "untreated_id", "bucket"])
-        for tid, cid in solution.pairs:
-            writer.writerow([tid, cid, int(bucket_of[tid])])
-    _write_json(out / "match.json", {
+    _write_rows(run.new("matches.csv"), ["treated_id", "untreated_id", "bucket"],
+                ([tid, cid, int(bucket_of[tid])] for tid, cid in solution.pairs))
+    _write_json(run.new("match.json"), {
         "mode": config.match.mode,
         "objective": solution.objective,
         "breakdown": solution.breakdown,
@@ -351,13 +369,11 @@ def _stage_match(config: PipelineConfig, out: Path):
         "budget_exhausted": solution.budget_exhausted,
         "restart": solution.restart,
     })
-    return ["matches.csv", "match.json"]
 
 
-def _stage_tune(config: PipelineConfig, out: Path):
-    _require(out, "eligible.csv", "matches.csv")
-    matched = _matched_cohort(config, out)
-    target, _rules = load_trial_config(config.trial, config.schema)
+def _stage_tune(run: _Run):
+    config, matched = run.config, run.matched
+    target, _rules = run.trial
     horizon = target.horizon_months
     cf_config = replace(config.counterfactual_learner, seed=config.seed + 1)
 
@@ -379,12 +395,8 @@ def _stage_tune(config: PipelineConfig, out: Path):
     pair = counterfactual.fit_counterfactuals(
         matched, horizon, cf_config, rho0=rhos[0], rho1=rhos[1])
     matrix = counterfactual.reward_matrix(pair, matched, horizon)
-    with open(out / "rewards.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "reward_control", "reward_treatment"])
-        for pid, (r0, r1) in zip(matrix.ids, matrix.rewards):
-            writer.writerow([pid, repr(float(r0)), repr(float(r1))])
-    _write_json(out / "tune.json", {
+    _write_rewards(run.new("rewards.csv"), matrix)
+    _write_json(run.new("tune.json"), {
         "horizon_months": horizon,
         "rho0": pair.rho0, "rho1": pair.rho1,
         "hbar0": pair.hbar0, "hbar1": pair.hbar1,
@@ -392,13 +404,11 @@ def _stage_tune(config: PipelineConfig, out: Path):
         "model_digests": list(matrix.model_digests),
         "traces": traces,
     })
-    return ["rewards.csv", "tune.json"]
 
 
-def _stage_constrain(config: PipelineConfig, out: Path):
-    _require(out, "rewards.csv", "tune.json")
-    matrix = _load_rewards(out, "rewards.csv")
-    factor, direction = config.constrain.factor, config.constrain.direction
+def _stage_constrain(run: _Run):
+    matrix = run.rewards("rewards.csv")
+    factor, direction = run.config.constrain.factor, run.config.constrain.direction
     if factor is None:
         constrained = matrix
         meta = {"enabled": False}
@@ -411,30 +421,22 @@ def _stage_constrain(config: PipelineConfig, out: Path):
             "n_rows_adjusted": int(
                 (constrained.rewards != matrix.rewards).any(axis=1).sum()),
         }
-    with open(out / "rewards_constrained.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "reward_control", "reward_treatment"])
-        for pid, (r0, r1) in zip(constrained.ids, constrained.rewards):
-            writer.writerow([pid, repr(float(r0)), repr(float(r1))])
-    _write_json(out / "constrain.json", meta)
-    return ["rewards_constrained.csv", "constrain.json"]
+    _write_rewards(run.new("rewards_constrained.csv"), constrained)
+    _write_json(run.new("constrain.json"), meta)
 
 
-def _stage_tree(config: PipelineConfig, out: Path):
-    _require(out, "eligible.csv", "matches.csv", "rewards_constrained.csv")
-    matched = _matched_cohort(config, out)
-    matrix = _load_rewards(out, "rewards_constrained.csv")
+def _stage_tree(run: _Run):
+    config, matched, matrix = run.config, run.matched, run.constrained
     if tuple(matrix.ids) != tuple(matched.ids):
         raise ArtifactError("rewards_constrained.csv ids disagree with matches.csv")
     X = matched.covariate_matrix()
     candidates = [(tc, policy_tree.fit_policy_tree(X, matrix, tc))
                   for tc in config.tree.configs()]
     selected = policy_tree.select_tree(candidates, matrix, X)
-    (out / "tree.json").write_text(selected.to_json() + "\n", encoding="utf-8")
-    (out / "tree.txt").write_text(
+    run.new("tree.json").write_text(selected.to_json() + "\n", encoding="utf-8")
+    run.new("tree.txt").write_text(
         selected.render_text(list(config.schema.names)) + "\n", encoding="utf-8")
-    _write_json(out / "tree_meta.json", {
+    _write_json(run.new("tree_meta.json"), {
         "grid": [
             {
                 "max_depth": tc.max_depth,
@@ -448,38 +450,25 @@ def _stage_tree(config: PipelineConfig, out: Path):
             for tc, tree in candidates
         ],
     })
-    return ["tree.json", "tree.txt", "tree_meta.json"]
 
 
-def _km_rows(times, events):
-    curve = survival_stats.km_curve(times, events)
-    return [
-        [f"{t:.4f}", f"{s:.4f}", int(r), int(d)]
-        for t, s, r, d in zip(curve.times, curve.survival,
-                              curve.at_risk, curve.events)
-    ]
-
-
-def _group_outcomes(matched: Cohort, mask: np.ndarray, out: Path, label: str):
+def _group_outcomes(run: _Run, mask: np.ndarray, label: str) -> dict:
     """KM per received arm within one recommendation group, plus log-rank."""
-    times = matched.times()
-    events = matched.events()
-    treatments = matched.treatments()
+    times = run.matched.times()
+    events = run.matched.events()
+    treatments = run.matched.treatments()
     entry = {"n": int(mask.sum())}
-    artifacts = []
     for arm, arm_name in ((0, "control"), (1, "treated")):
         sub = mask & (treatments == arm)
         entry[f"n_received_{arm_name}"] = int(sub.sum())
         if sub.any():
-            fname = f"km_{label}_{arm_name}.csv"
-            with open(out / fname, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["time", "survival", "at_risk", "events"])
-                writer.writerows(_km_rows(times[sub], events[sub]))
-            artifacts.append(fname)
             curve = survival_stats.km_curve(times[sub], events[sub])
-            med = survival_stats.median_survival(curve)
-            entry[f"median_{arm_name}"] = med
+            _write_rows(run.new(f"km_{label}_{arm_name}.csv"),
+                        ["time", "survival", "at_risk", "events"],
+                        ([f"{t:.4f}", f"{s:.4f}", int(r), int(d)]
+                         for t, s, r, d in zip(curve.times, curve.survival,
+                                               curve.at_risk, curve.events)))
+            entry[f"median_{arm_name}"] = survival_stats.median_survival(curve)
     m0 = mask & (treatments == 0)
     m1 = mask & (treatments == 1)
     if m0.any() and m1.any() and events[mask].sum() > 0:
@@ -490,32 +479,23 @@ def _group_outcomes(matched: Cohort, mask: np.ndarray, out: Path, label: str):
     else:
         entry["logrank_chi2"] = None
         entry["logrank_p"] = None
-    return entry, artifacts
+    return entry
 
 
-def _stage_validate(config: PipelineConfig, out: Path):
-    _require(out, "eligible.csv", "matches.csv", "rewards_constrained.csv",
-             "tree.json")
-    matched = _matched_cohort(config, out)
-    matrix = _load_rewards(out, "rewards_constrained.csv")
+def _stage_validate(run: _Run):
+    config, matched = run.config, run.matched
     tree = policy_tree.PolicyTree.from_json(
-        (out / "tree.json").read_text(encoding="utf-8"))
+        (run.out / "tree.json").read_text(encoding="utf-8"))
     X = matched.covariate_matrix()
     arms, leaf_ids = policy_tree.assign(tree, X)
 
     subgroups = policy_tree.subgroup_report(
-        tree, matched, matrix, config.tree.min_effect)
+        tree, matched, run.constrained, config.tree.min_effect)
 
-    artifacts = ["validation.json"]
     groups = {}
     for label, mask in (("recommended", arms == 1),
                         ("advised_against", arms == 0)):
-        if mask.any():
-            entry, files = _group_outcomes(matched, mask, out, label)
-            groups[label] = entry
-            artifacts.extend(files)
-        else:
-            groups[label] = {"n": 0}
+        groups[label] = _group_outcomes(run, mask, label) if mask.any() else {"n": 0}
 
     balance = {"test": "welch-t", "scores": {}}
     names = config.schema.names
@@ -544,13 +524,12 @@ def _stage_validate(config: PipelineConfig, out: Path):
         balance["scores"] = {}
         balance["skipped"] = "clinical score covariates not present in schema"
 
-    _write_json(out / "validation.json", {
+    _write_json(run.new("validation.json"), {
         "subgroups": {str(k): v for k, v in subgroups.items()},
         "min_effect": config.tree.min_effect,
         "groups": groups,
         "balance": balance,
     })
-    return artifacts
 
 
 _STAGE_FUNCS = {
@@ -628,17 +607,19 @@ def run_pipeline(config: PipelineConfig, out_dir,
         "stages": completed,
     }
     done = {e["name"] for e in completed}
+    run = _Run(config, out)
     for name in STAGES:
         if name not in done:
             try:
-                files = _STAGE_FUNCS[name](config, out)
+                _STAGE_FUNCS[name](run)
             except Exception as exc:
                 exc.stage = name
                 raise
             manifest["stages"].append({
                 "name": name,
-                "artifacts": {f: _sha256(out / f) for f in files},
+                "artifacts": {f: _sha256(out / f) for f in run.written},
             })
+            run.written.clear()
             _write_json(manifest_path, manifest)
         if name == until:
             break
@@ -659,27 +640,26 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def report(run_dir) -> Path:
-    """Assemble the report bundle from a run directory's artifacts."""
+    """Assemble the report bundle from a run directory's artifacts.
+
+    Every artifact the manifest lists is checked against its recorded hash
+    before anything is read, and only listed files are bundled.
+    """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise ArtifactError(f"{out}: no manifest.json; run the pipeline first")
-    manifest = _read_json(manifest_path)
-    done = [e["name"] for e in manifest.get("stages", [])]
-    needed = {"match": "match.json", "tune": "tune.json",
-              "tree": "tree.json", "validate": "validation.json"}
-    missing = [stage for stage in needed if stage not in done]
+    stages = {e["name"]: e for e in _read_json(manifest_path).get("stages", [])}
+    missing = [s for s in ("match", "tune", "tree", "validate") if s not in stages]
     if missing:
         raise ArtifactError(
             f"report needs completed stages {missing}; rerun them first")
+    for entry in stages.values():
+        _verify_stage(out, entry)
 
     rep = out / "report"
     rep.mkdir(exist_ok=True)
@@ -712,12 +692,12 @@ def report(run_dir) -> Path:
     _write_csv(rep / "tuning_trace.csv",
                ["arm", "step", "rho", "hbar", "residual"], trace_rows)
 
-    for name in ("tree.json", "tree.txt"):
+    for stale in rep.glob("km_*.csv"):  # bundled from an earlier run
+        stale.unlink()
+    kms = sorted(n for n in stages["validate"]["artifacts"] if n.startswith("km_"))
+    for name in ["tree.json", "tree.txt"] + kms:
         (rep / name).write_text((out / name).read_text(encoding="utf-8"),
                                 encoding="utf-8")
-    for km in sorted(out.glob("km_*.csv")):
-        (rep / km.name).write_text(km.read_text(encoding="utf-8"),
-                                   encoding="utf-8")
 
     logrank_rows = []
     for label in ("recommended", "advised_against"):

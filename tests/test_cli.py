@@ -1,12 +1,15 @@
 """Command-line interface: subcommands and exit-code contract."""
 
 import json
+import shutil
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from trialemu import pipeline
 from trialemu.cli import main
+from trialemu.errors import ArtifactError
 
 from conftest import CONFIGS, mini_pipeline_doc
 
@@ -53,6 +56,18 @@ def test_stage_subcommand_stops_at_stage(mini_corpus, tmp_path):
     result = invoke("report", "--out", str(run_dir))
     assert result.exit_code == 3
     assert "tune" in result.output
+
+
+def test_report_refuses_a_tampered_artifact(mini_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(mini_run[0], run_dir)
+    validation = run_dir / "validation.json"
+    validation.write_text(validation.read_text().replace("{", "{\n", 1))
+    with pytest.raises(ArtifactError, match="validation.json"):
+        pipeline.report(run_dir)
+    result = invoke("report", "--out", str(run_dir))
+    assert result.exit_code == 3
+    assert "validation.json" in result.output
 
 
 def test_stage_option_overrides(mini_corpus, tmp_path):

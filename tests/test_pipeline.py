@@ -29,6 +29,47 @@ def load_config(tmp_path, doc):
     return pipeline.load_pipeline_config(write_config(tmp_path, doc))
 
 
+# SHA-256 of every artifact of the mini_run fixture, recorded on x86-64
+# Linux. A refactor leaves these alone; a change that alters the estimator
+# on purpose updates them and says so.
+MINI_RUN_SHA256 = {
+    "constrain.json":
+        "9da53577f38f52bfa8a74a92c64b7e0021f7bfe736123307df195eb22de8166d",
+    "eligible.csv":
+        "acec1ee71f662edad377deb3a41dd598ac8376b8e3c9a922c5abe4b8240eca18",
+    "filter.json":
+        "bac3d180c20de04b1c93b4c48e299129b358c1b9fa2ff3abd7050964a365d902",
+    "km_recommended_control.csv":
+        "a993b9c74ffdfcf05d6093b7a60f310ad6c3569aa3078c91a5f4785871e987db",
+    "km_recommended_treated.csv":
+        "4f7d150ccb3a3db6d24e5ef8e023f4cef0fa79bab8ba616d735093c5bcc48665",
+    "match.json":
+        "6ef95c0a0e25bcb3f6a281a87d06e73871e03e2fc1790e98e2438ecc4ddee0a1",
+    "matches.csv":
+        "446b122bfe62b7eca2cc34282a20d4a18937bfea8df6cdb4c5935ca9967cc4cb",
+    "rewards.csv":
+        "426617a5c1bacaff17f4209d0e7ca360dbd758cc9628269aa4912a9b8843cfb2",
+    "rewards_constrained.csv":
+        "f940499fcc0bc57cadb7ef822396d2bd021bac8fb9f80e8d5ba8c9f3f8a4c043",
+    "risks.csv":
+        "8cb315ac4e3b06a026c0e71814e96ecc0cc769eb625387a78868cdfdbe8cafb4",
+    "stratify.json":
+        "ee33ac911160d67ec83e6c6efb12d178f9e80244d21ddae5e7f4f15d982a1505",
+    "tree.json":
+        "fda41e5291796a52a2aeffd356cc70923410d1526423ef69089789631d3433f9",
+    "tree.txt":
+        "13e62fba1bb405f984b86a052a7982bc89f08c374a1232ee449243a28a58d6f6",
+    "tree_meta.json":
+        "5aa358fdfbc8637e4aa74892a675b5673b5c7a387fd509e6cd7b7b0dc1a2edea",
+    "tune.json":
+        "ed77376bbc25776cf3390951de92f8857fd1a37a5918dc62379c218ddc64ba6f",
+    "validation.json":
+        "121b2e91c381d9396b863737eafeba729700d24a4c033050fb4510f5f74bc7c9",
+    "xray_model.json":
+        "a421f7be94b8e3fbe3728080a189c3729b5be216141d510ebe41f034da1fcdc9",
+}
+
+
 def test_full_run_manifest_and_artifacts(mini_run):
     out, _cfg = mini_run
     manifest = json.loads((out / "manifest.json").read_text())
@@ -38,6 +79,27 @@ def test_full_run_manifest_and_artifacts(mini_run):
             path = out / name
             assert path.exists(), name
             assert pipeline._sha256(path) == digest
+
+
+def test_mini_run_artifacts_are_pinned(mini_run):
+    out, _cfg = mini_run
+    manifest = json.loads((out / "manifest.json").read_text())
+    recorded = {name: digest for entry in manifest["stages"]
+                for name, digest in entry["artifacts"].items()}
+    assert recorded == MINI_RUN_SHA256
+
+
+def test_each_input_is_parsed_once_per_call(mini_corpus, tmp_path, monkeypatch):
+    calls = {"load_cohort": 0, "load_trial_config": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
+    pipeline.run_pipeline(cfg, tmp_path / "run")
+    # the input cohort and eligible.csv; the trial file once
+    assert calls == {"load_cohort": 2, "load_trial_config": 1}
 
 
 def test_until_stops_after_stage(mini_corpus, tmp_path):
@@ -190,6 +252,23 @@ def test_report_bundle_contents(mini_run):
         target, abs=5e-5)
     groups = {r["group"] for r in read_csv_dicts(rep / "logrank.csv")}
     assert groups == {"recommended", "advised_against"}
+
+
+def test_report_bundles_only_the_km_curves_the_manifest_lists(mini_corpus,
+                                                              tmp_path):
+    doc = mini_pipeline_doc(mini_corpus)
+    run = tmp_path / "run"
+    doc["constrain"] = {"factor": None}
+    pipeline.run_pipeline(load_config(tmp_path, doc), run)
+    pipeline.report(run)
+    assert (run / "report" / "km_advised_against_treated.csv").exists()
+    doc["constrain"] = {"factor": 0.78}  # now nobody is advised against
+    manifest = pipeline.run_pipeline(load_config(tmp_path, doc), run)
+    listed = {name for name in manifest["stages"][-1]["artifacts"]
+              if name.startswith("km_")}
+    assert listed == {"km_recommended_control.csv", "km_recommended_treated.csv"}
+    pipeline.report(run)
+    assert {p.name for p in (run / "report").glob("km_*.csv")} == listed
 
 
 def test_report_requires_completed_stages(mini_corpus, tmp_path):
