@@ -80,11 +80,14 @@ def _fit_arm(matched: Cohort, arm: int, horizon: float,
 
 def fit_counterfactuals(matched: Cohort, horizon: float,
                         config: learner.LearnerConfig,
-                        rho0: float = 1.0, rho1: float = 1.0) -> RewardPair:
+                        rho0: float = 1.0, rho1: float = 1.0,
+                        models: dict | None = None) -> RewardPair:
     """Fit both arm models and average their predictions over the full
-    matched cohort (both arms)."""
-    model0 = _fit_arm(matched, 0, horizon, config, rho0)
-    model1 = _fit_arm(matched, 1, horizon, config, rho1)
+    matched cohort (both arms). ``models`` maps (arm, rho) to a model that
+    ``tune_weight`` already fit on the same inputs; those are reused."""
+    models = models or {}
+    model0 = models.get((0, rho0)) or _fit_arm(matched, 0, horizon, config, rho0)
+    model1 = models.get((1, rho1)) or _fit_arm(matched, 1, horizon, config, rho1)
     X_all = matched.covariate_matrix()
     hbar0 = float(learner.predict_prob(model0, X_all).mean())
     hbar1 = float(learner.predict_prob(model1, X_all).mean())
@@ -107,10 +110,16 @@ class TuningTrace:
 def tune_weight(matched: Cohort, arm: int, target_mu: float,
                 horizon: float, config: learner.LearnerConfig,
                 tol: float = RHO_TOL_DEFAULT, rho_max: float = RHO_MAX_DEFAULT,
-                trace: TuningTrace | None = None) -> float:
+                trace: TuningTrace | None = None,
+                models: dict | None = None) -> float:
     """Smallest explored rho whose arm mean estimate is within tol of the
     target. Bisection assumes the mean responds monotonically to rho; a
-    detected violation falls back to a grid search over [1, rho_max]."""
+    detected violation falls back to a grid search over [1, rho_max].
+
+    If ``models`` is given, the model fit at the returned rho is stored in
+    it under (arm, rho), so that ``fit_counterfactuals`` need not refit it.
+    Only the fit nearest the target is held meanwhile; that is the one
+    returned except, at times, after a grid fallback."""
     if not 0.0 <= target_mu <= 1.0:
         raise ConfigError("target must be a probability")
     check_tuning(tol, rho_max)
@@ -119,13 +128,22 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     X_all = matched.covariate_matrix()
 
     evaluated: dict[float, float] = {}
+    kept = {}  # the fit nearest the target so far, by rho
 
     def hbar(rho: float) -> float:
         if rho not in evaluated:
             model = _fit_arm(matched, arm, horizon, config, rho)
-            evaluated[rho] = float(learner.predict_prob(model, X_all).mean())
-            trace.record(rho, evaluated[rho], target_mu)
+            evaluated[rho] = h = float(learner.predict_prob(model, X_all).mean())
+            trace.record(rho, h, target_mu)
+            if all(abs(h - target_mu) < abs(evaluated[r] - target_mu) for r in kept):
+                kept.clear()
+                kept[rho] = model
         return evaluated[rho]
+
+    def chosen(rho: float) -> float:
+        if models is not None and rho in kept:
+            models[arm, rho] = kept[rho]
+        return rho
 
     def monotone_violated() -> bool:
         pts = sorted(evaluated.items())
@@ -138,7 +156,7 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     h1 = hbar(1.0)
     if h1 >= target_mu - tol:
         # never down-weight below 1, even when already above the target
-        return 1.0
+        return chosen(1.0)
     h_max = hbar(rho_max)
     if h_max < target_mu - tol:
         raise UnreachableTargetError(
@@ -151,7 +169,7 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     for _ in range(13):  # 13 midpoints + the two endpoint fits = 15 refits
         found = smallest_in_tol()
         if found is not None:
-            return found
+            return chosen(found)
         mid = (lo + hi) / 2.0
         h = hbar(mid)
         if monotone_violated():
@@ -163,7 +181,7 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
             hi = mid
     found = smallest_in_tol()
     if found is not None and not violated:
-        return found
+        return chosen(found)
 
     if monotone_violated():
         warnings.warn(f"arm {arm}: non-monotone weight response; grid fallback")
@@ -179,7 +197,7 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
         raise UnreachableTargetError(
             f"arm {arm}: no rho in [1, {rho_max}] reaches the target within "
             f"{tol} (best residual {best_resid:.4f})", residual=best_resid)
-    return best_rho
+    return chosen(best_rho)
 
 
 def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMatrix:

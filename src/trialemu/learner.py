@@ -5,6 +5,12 @@ Per-sample weights enter the split impurity (weighted Gini), the leaf
 values (weighted positive fraction) and, when bootstrapping, the
 resampling probabilities. Fitting is bit-reproducible for a fixed seed:
 per-tree random streams are derived from (seed, tree index).
+
+Without bootstrapping every tree trains on the same rows in the same
+order, so a node reached by the same splits from the root holds the same
+rows in every tree; the trees differ only in the features drawn at each
+node. The trees of such a fit therefore share one set of nodes, and each
+feature is scanned at most once per node, however many trees draw it there.
 """
 
 from __future__ import annotations
@@ -97,49 +103,73 @@ def split_scan(x, columns, min_leaf):
     return [s[at] for s in sums], [s[-1] for s in sums], (xs[at] + xs[at + 1]) / 2.0
 
 
-def _best_split(x_node, y_node, w_node, feats, min_leaf):
-    """Scan all midpoint thresholds of the given features for the lowest
-    weighted Gini; ties break to the lowest feature index, then the lowest
-    threshold (features are scanned ascending, thresholds via first argmin)."""
-    best_imp = np.inf
-    best = None
-    columns = [w_node, w_node * y_node]
-    for f in feats:
-        (wl, pl), (total_w, total_p), thresholds = split_scan(
-            x_node[:, f], columns, min_leaf)
-        if not thresholds.size:
-            continue
-        wr = total_w - wl
-        pr = total_p - pl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fl = pl / wl
-            fr = pr / wr
-            imp = wl * fl * (1.0 - fl) + wr * fr * (1.0 - fr)
-        i = int(np.argmin(imp))
-        if imp[i] < best_imp:
-            best_imp = imp[i]
-            best = (int(f), float(thresholds[i]))
-    return best
+class _Node:
+    """The rows reaching one node. With the same training rows, every tree
+    that takes the same splits from the root reaches a node with the same
+    rows, so the trees of one fit share the node and its split scans."""
+
+    def __init__(self, X, y, w):
+        self.X, self.y = X, y
+        self.columns = [w, w * y]
+        self.value = float(self.columns[1].sum() / w.sum())
+        self.scans = {}  # feature -> (lowest Gini, its threshold) | None
+        self.children = {}  # (feature, threshold) -> (left node, right node)
+
+    def scan(self, f, min_leaf):
+        """Lowest weighted Gini over f's valid cuts, at the first argmin."""
+        if f not in self.scans:
+            (wl, pl), (total_w, total_p), thresholds = split_scan(
+                self.X[:, f], self.columns, min_leaf)
+            if not thresholds.size:
+                self.scans[f] = None
+            else:
+                wr = total_w - wl
+                pr = total_p - pl
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    fl = pl / wl
+                    fr = pr / wr
+                    imp = wl * fl * (1.0 - fl) + wr * fr * (1.0 - fr)
+                i = int(np.argmin(imp))
+                self.scans[f] = (imp[i], float(thresholds[i]))
+        return self.scans[f]
+
+    def best_split(self, feats, min_leaf):
+        """Lowest-Gini split over feats; ties break to the lowest feature
+        index, then the lowest threshold (features are scanned ascending,
+        thresholds via first argmin)."""
+        best_imp, best = np.inf, None
+        for f in feats.tolist():
+            scan = self.scan(f, min_leaf)
+            if scan is not None and scan[0] < best_imp:
+                best_imp, best = scan[0], (f, scan[1])
+        return best
+
+    def split(self, f, thr):
+        """The (left, right) children of the cut x[f] < thr."""
+        if (f, thr) not in self.children:
+            mask = self.X[:, f] < thr
+            w = self.columns[0]
+            self.children[f, thr] = (_Node(self.X[mask], self.y[mask], w[mask]),
+                                     _Node(self.X[~mask], self.y[~mask], w[~mask]))
+        return self.children[f, thr]
 
 
-def _grow(X, y, w, rng, cfg, n_sub_features, depth=0):
-    total_w = w.sum()
-    value = float((w * y).sum() / total_w)
-    n = y.size
-    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or value in (0.0, 1.0):
-        return {"value": value}
-    L = X.shape[1]
+def _grow(node, rng, cfg, n_sub_features, depth=0):
+    if (depth >= cfg.max_depth or node.y.size < 2 * cfg.min_leaf
+            or node.value in (0.0, 1.0)):
+        return {"value": node.value}
+    L = node.X.shape[1]
     feats = np.sort(rng.choice(L, size=n_sub_features, replace=False))
-    split = _best_split(X, y, w, feats, cfg.min_leaf)
+    split = node.best_split(feats, cfg.min_leaf)
     if split is None:
-        return {"value": value}
+        return {"value": node.value}
     f, thr = split
-    mask = X[:, f] < thr
+    left, right = node.split(f, thr)
     return {
         "feature": f,
         "threshold": thr,
-        "left": _grow(X[mask], y[mask], w[mask], rng, cfg, n_sub_features, depth + 1),
-        "right": _grow(X[~mask], y[~mask], w[~mask], rng, cfg, n_sub_features, depth + 1),
+        "left": _grow(left, rng, cfg, n_sub_features, depth + 1),
+        "right": _grow(right, rng, cfg, n_sub_features, depth + 1),
     }
 
 
@@ -173,9 +203,10 @@ def fit(features, labels, weights, config: LearnerConfig,
         rng = np.random.default_rng([config.seed, t])
         if config.bootstrap:
             idx = rng.choice(n, size=n, replace=True, p=prob)
-        else:
-            idx = np.arange(n)
-        trees.append(_grow(X[idx], y[idx], w[idx], rng, config, n_sub))
+            root = _Node(X[idx], y[idx], w[idx])
+        elif t == 0:
+            root = _Node(X, y, w)  # the same rows for every tree
+        trees.append(_grow(root, rng, config, n_sub))
     digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()[:16]
     return FittedEnsemble(tuple(trees), L, config, digest)
 

@@ -378,6 +378,7 @@ def _stage_tune(run: _Run):
     cf_config = replace(config.counterfactual_learner, seed=config.seed + 1)
 
     rhos = {0: 1.0, 1: 1.0}
+    models = {}  # (arm, rho) -> the model tune_weight fit there
     traces = {}
     for arm, mu in ((0, target.mu0), (1, target.mu1)):
         if arm not in config.tune.arms:
@@ -385,7 +386,8 @@ def _stage_tune(run: _Run):
         trace = counterfactual.TuningTrace([], [], [])
         rhos[arm] = counterfactual.tune_weight(
             matched, arm, mu, horizon, cf_config,
-            tol=config.tune.tol, rho_max=config.tune.rho_max, trace=trace)
+            tol=config.tune.tol, rho_max=config.tune.rho_max, trace=trace,
+            models=models)
         traces[str(arm)] = {
             "rho_sequence": trace.rho_sequence,
             "hbar_sequence": trace.hbar_sequence,
@@ -393,7 +395,7 @@ def _stage_tune(run: _Run):
             "method": trace.method,
         }
     pair = counterfactual.fit_counterfactuals(
-        matched, horizon, cf_config, rho0=rhos[0], rho1=rhos[1])
+        matched, horizon, cf_config, rho0=rhos[0], rho1=rhos[1], models=models)
     matrix = counterfactual.reward_matrix(pair, matched, horizon)
     _write_rewards(run.new("rewards.csv"), matrix)
     _write_json(run.new("tune.json"), {
@@ -576,12 +578,25 @@ def _verify_stage(out: Path, entry: dict) -> None:
                 f"recorded hash (tampered or regenerated out of band)")
 
 
+def _remove_artifacts(out: Path, entries) -> None:
+    """Delete the files that manifest entries list. Only plain file names
+    inside ``out`` are touched, so a crafted manifest cannot reach beyond
+    the run directory."""
+    for entry in entries:
+        for name in entry.get("artifacts", {}):
+            path = out / name
+            if name == path.name != ".." and path.is_file():
+                path.unlink()
+
+
 def run_pipeline(config: PipelineConfig, out_dir,
                  until: str | None = None) -> dict:
     """Run all stages (or up to ``until``), resuming from intact artifacts.
 
-    Returns the manifest dict; ``manifest.json`` is rewritten after every
-    completed stage so a failed run keeps its partial artifacts.
+    Returns the manifest dict; ``manifest.json`` is written after each
+    stage that completes, and only then, so a failed run keeps its partial
+    artifacts. Artifacts of recorded stages that cannot be resumed are
+    deleted, with the stale manifest, before any stage runs.
     """
     if until is not None and until not in STAGES:
         raise ConfigError(f"unknown stage {until!r}; expected one of {STAGES}")
@@ -593,13 +608,17 @@ def run_pipeline(config: PipelineConfig, out_dir,
     completed = []
     if manifest_path.exists():
         previous = _read_json(manifest_path)
+        entries = previous.get("stages", [])
         if previous.get("config_digest") == digest:
-            by_name = {e["name"]: e for e in previous.get("stages", [])}
+            by_name = {e["name"]: e for e in entries}
             for name in STAGES:  # completed stages must form a prefix
                 if name not in by_name:
                     break
                 _verify_stage(out, by_name[name])
                 completed.append(by_name[name])
+        if len(completed) < len(entries):
+            _remove_artifacts(out, [e for e in entries if e not in completed])
+            manifest_path.unlink(missing_ok=True)
 
     manifest = {
         "config_digest": digest,
@@ -623,7 +642,6 @@ def run_pipeline(config: PipelineConfig, out_dir,
             _write_json(manifest_path, manifest)
         if name == until:
             break
-    _write_json(manifest_path, manifest)
     return manifest
 
 

@@ -163,6 +163,23 @@ class TestTuneWeight:
         assert len(trace.rho_sequence) <= 15
         assert trace.rho_sequence[0] == 1.0
 
+    def test_the_tuned_model_is_reused_not_refit(self, monkeypatch):
+        matched = make_matched(n_per_arm=60, seed=3)
+        target = fit_counterfactuals(matched, HORIZON, CFG, rho0=3.0).hbar0
+        models = {}
+        rho = tune_weight(matched, 0, target, HORIZON, CFG, models=models)
+        assert list(models) == [(0, rho)]
+        fresh = fit_counterfactuals(matched, HORIZON, CFG, rho0=rho)
+        fits = []
+        real_fit = learner.fit
+        monkeypatch.setattr(learner, "fit",
+                            lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+        reused = fit_counterfactuals(matched, HORIZON, CFG, rho0=rho,
+                                     models=models)
+        assert len(fits) == 1  # arm 1 only
+        assert reused.model0.to_json() == fresh.model0.to_json()
+        assert reused.hbar0 == fresh.hbar0
+
     def test_unreachable_target_reports_residual(self):
         matched = make_matched(n_per_arm=60, seed=3)
         with pytest.raises(UnreachableTargetError) as err:

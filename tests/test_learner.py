@@ -178,3 +178,107 @@ def test_split_scan_keeps_exactly_the_valid_cuts():
             assert thresholds.tolist() == ((xs[:-1] + xs[1:]) / 2.0)[valid].tolist()
             assert counts.tolist() == left[valid].tolist()
             assert total == n
+
+
+# The per-tree growth that shared node scans replaced, kept as an oracle:
+# every tree re-scans every drawn feature at every node.
+def _oracle_best_split(x_node, y_node, w_node, feats, min_leaf):
+    best_imp = np.inf
+    best = None
+    columns = [w_node, w_node * y_node]
+    for f in feats:
+        (wl, pl), (total_w, total_p), thresholds = split_scan(
+            x_node[:, f], columns, min_leaf)
+        if not thresholds.size:
+            continue
+        wr = total_w - wl
+        pr = total_p - pl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fl = pl / wl
+            fr = pr / wr
+            imp = wl * fl * (1.0 - fl) + wr * fr * (1.0 - fr)
+        i = int(np.argmin(imp))
+        if imp[i] < best_imp:
+            best_imp = imp[i]
+            best = (int(f), float(thresholds[i]))
+    return best
+
+
+def _oracle_grow(X, y, w, rng, cfg, n_sub_features, depth=0):
+    total_w = w.sum()
+    value = float((w * y).sum() / total_w)
+    n = y.size
+    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or value in (0.0, 1.0):
+        return {"value": value}
+    feats = np.sort(rng.choice(X.shape[1], size=n_sub_features, replace=False))
+    split = _oracle_best_split(X, y, w, feats, cfg.min_leaf)
+    if split is None:
+        return {"value": value}
+    f, thr = split
+    mask = X[:, f] < thr
+    return {
+        "feature": f,
+        "threshold": thr,
+        "left": _oracle_grow(X[mask], y[mask], w[mask], rng, cfg,
+                             n_sub_features, depth + 1),
+        "right": _oracle_grow(X[~mask], y[~mask], w[~mask], rng, cfg,
+                              n_sub_features, depth + 1),
+    }
+
+
+def _oracle_fit(X, y, w, cfg):
+    n, n_features = X.shape
+    n_sub = max(1, int(np.ceil(cfg.feature_subsample * n_features)))
+    trees = []
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng([cfg.seed, t])
+        if cfg.bootstrap:
+            idx = rng.choice(n, size=n, replace=True, p=w / w.sum())
+        else:
+            idx = np.arange(n)
+        trees.append(_oracle_grow(X[idx], y[idx], w[idx], rng, cfg, n_sub))
+    return trees
+
+
+@pytest.mark.parametrize("bootstrap", [False, True])
+@pytest.mark.parametrize("feature_subsample", [0.34, 0.7, 1.0])
+@pytest.mark.parametrize("case", range(4))
+def test_shared_node_scans_grow_the_per_tree_oracle(bootstrap, feature_subsample,
+                                                    case):
+    rng = np.random.default_rng(100 + case)
+    n = 40 + 30 * case
+    X = rng.normal(size=(n, 6))
+    X[:, :3] = rng.integers(0, 3 + case, size=(n, 3))  # tied integer values
+    y = (X[:, 0] + X[:, 3] + rng.normal(size=n) > 1.0).astype(float)
+    w = rng.choice([1.0, 1.5, 4.0], size=n)  # non-uniform weights
+    min_leaf = (1, 3, n // 2 - 1, n // 2)[case]  # near n/2: few valid cuts
+    cfg = LearnerConfig(n_trees=25, max_depth=(3, 5, 4, 3)[case], min_leaf=min_leaf,
+                        feature_subsample=feature_subsample,
+                        bootstrap=bootstrap, seed=case)
+    model = fit(X, y, w, cfg)
+    oracle = FittedEnsemble(tuple(_oracle_fit(X, y, w, cfg)), 6, cfg,
+                            model.weight_digest)
+    assert model.to_json() == oracle.to_json()
+
+
+def test_unbootstrapped_trees_share_split_scans(monkeypatch):
+    import trialemu.learner as learner_module
+
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(1)
+        return split_scan(*args)
+
+    monkeypatch.setattr(learner_module, "split_scan", counting_scan)
+    X, y = make_dataset(21, n=600, n_features=3)
+    X = np.hstack([X, np.random.default_rng(21).normal(size=(600, 3))])
+    counts = {}
+    for n_trees in (1, 200):
+        calls.clear()
+        fit(X, y, np.where(y == 1, 2.0, 1.0),
+            LearnerConfig(n_trees=n_trees, max_depth=4, min_leaf=15,
+                          feature_subsample=0.7, bootstrap=False, seed=3))
+        counts[n_trees] = len(calls)
+    assert counts[1] > 0
+    assert counts[200] < 10 * counts[1]

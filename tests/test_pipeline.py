@@ -309,3 +309,53 @@ def test_matches_respect_buckets(mini_run):
     untreated = [r["untreated_id"] for r in rows]
     assert len(set(treated)) == len(treated)
     assert len(set(untreated)) == len(untreated)
+
+
+def test_manifest_is_written_once_per_completed_stage(mini_corpus, tmp_path,
+                                                      monkeypatch):
+    written = []
+    real = pipeline._write_json
+
+    def counted(path, obj):
+        written.append(Path(path).name)
+        real(path, obj)
+
+    monkeypatch.setattr(pipeline, "_write_json", counted)
+    cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run)
+    assert written.count("manifest.json") == len(pipeline.STAGES)
+    raw = (run / "manifest.json").read_bytes()
+    written.clear()
+    pipeline.run_pipeline(cfg, run)  # nothing left to do
+    assert written.count("manifest.json") == 0
+    assert (run / "manifest.json").read_bytes() == raw
+
+
+def test_rerun_deletes_the_artifacts_it_no_longer_lists(mini_corpus, tmp_path):
+    doc = mini_pipeline_doc(mini_corpus)
+    run = tmp_path / "run"
+    doc["constrain"] = {"factor": None}
+    pipeline.run_pipeline(load_config(tmp_path, doc), run)
+    assert (run / "km_advised_against_treated.csv").exists()
+    doc["constrain"] = {"factor": 0.78}  # now nobody is advised against
+    manifest = pipeline.run_pipeline(load_config(tmp_path, doc), run)
+    listed = {name for entry in manifest["stages"] for name in entry["artifacts"]}
+    assert {p.name for p in run.iterdir()} == listed | {"manifest.json"}
+
+
+def test_a_crafted_manifest_deletes_nothing_outside_the_run(mini_corpus, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    outside = tmp_path / "x"
+    outside.write_text("keep\n")
+    (run / "kept.csv").write_text("keep\n")
+    (run / "manifest.json").write_text(json.dumps({
+        "config_digest": "stale",
+        "stages": [{"name": "filter", "artifacts": {
+            "../x": "0", str(outside): "0", "..": "0", "": "0"}}],
+    }))
+    cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
+    pipeline.run_pipeline(cfg, run, until="filter")
+    assert outside.read_text() == "keep\n"
+    assert (run / "kept.csv").exists()
