@@ -4,14 +4,18 @@ Used for the baseline-risk model and both per-arm counterfactual models.
 Per-sample weights enter the split impurity (weighted Gini), the leaf
 values (weighted positive fraction) and, when bootstrapping, the
 resampling probabilities. Fitting is bit-reproducible for a fixed seed:
-per-tree random streams are derived from (seed, tree index).
+per-tree random streams are derived from (seed, tree index). Features,
+labels and weights must be finite.
+
+Each tree sorts its rows by every feature once (the presorted "exact
+greedy" layout of SLIQ and XGBoost); no node sorts, and a node scans the
+features it needs in one ``split_scan`` call.
 
 Without bootstrapping every tree trains on the same rows in the same
 order, so a node reached by the same splits from the root holds the same
 rows in every tree; the trees differ only in the features drawn at each
 node. The trees of such a fit therefore share one set of nodes, and each
-feature is scanned at most once per node, however many trees draw it there.
-"""
+node is scanned once, over all features, by the first tree to reach it."""
 
 from __future__ import annotations
 
@@ -88,58 +92,81 @@ def constant_model(value: float, n_features: int, config: LearnerConfig) -> Fitt
 
 
 def split_scan(x, columns, min_leaf):
-    """Cumulative sums of each column along the stable sort order of x, kept
-    at the valid cuts: adjacent sorted values differ and each side holds at
-    least min_leaf rows. Returns (the left sums at each cut, one array per
-    column; the column totals; the midpoint threshold of each cut). Each
-    column is summed on its own, in sorted row order."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+    """Prefix sums of each column along sorted values, and the valid cuts:
+    adjacent sorted values differ and each side holds at least min_leaf rows.
+
+    x is a k x m block whose rows are each sorted ascending, one feature's
+    values per row, and each column is a k x m array in the same order.
+    Returns (the left sums at each of the m - 1 cuts, one k x (m - 1) array
+    per column; the row totals, one length-k array per column; the midpoint
+    threshold of each valid cut, NaN at the others). Each row of a column is
+    summed on its own, in order. A 1-D x is one feature in any row order: it
+    is sorted stably first, and only its valid cuts are returned."""
+    one = x.ndim == 1
+    if one:
+        order = np.argsort(x, kind="stable")
+        x, columns = x[order][None], [c[order][None] for c in columns]
+    m = x.shape[1]
     # cut i puts sorted rows 0..i left, so both sides hold min_leaf rows
     # exactly when lo <= i < hi
-    lo, hi = min_leaf - 1, max(x.size - min_leaf, min_leaf - 1)
-    at = lo + np.flatnonzero(xs[lo + 1:hi + 1] != xs[lo:hi])
-    sums = [np.cumsum(c[order]) for c in columns]
-    return [s[at] for s in sums], [s[-1] for s in sums], (xs[at] + xs[at + 1]) / 2.0
+    lo, hi = min_leaf - 1, max(m - min_leaf, min_leaf - 1)
+    valid = np.zeros((x.shape[0], m - 1), dtype=bool)
+    valid[:, lo:hi] = x[:, lo + 1:hi + 1] != x[:, lo:hi]
+    thresholds = np.where(valid, (x[:, :-1] + x[:, 1:]) / 2.0, np.nan)
+    sums = [np.cumsum(c, axis=1) for c in columns]
+    left, totals = [s[:, :-1] for s in sums], [s[:, -1] for s in sums]
+    if one:
+        keep = valid[0]
+        return [s[0, keep] for s in left], [t[0] for t in totals], thresholds[0, keep]
+    return left, totals, thresholds
 
 
 class _Node:
-    """The rows reaching one node. With the same training rows, every tree
-    that takes the same splits from the root reaches a node with the same
-    rows, so the trees of one fit share the node and its split scans."""
+    """The rows reaching one node, as an (L + 1) x m matrix of indices into
+    the tree's rows: row f < L lists them in the stable sort order of
+    feature f, the last row in row order. A split partitions every row of
+    the matrix stably, so each child's rows arrive sorted. A ``shared``
+    node (see the module docstring) scans all features at once."""
 
-    def __init__(self, X, y, w):
-        self.X, self.y = X, y
-        self.columns = [w, w * y]
-        self.value = float(self.columns[1].sum() / w.sum())
+    def __init__(self, data, order, shared):
+        self.data, self.order, self.shared = data, order, shared
+        rows = order[-1]
+        _, w, wy = data
+        self.n = rows.size
+        self.value = float(wy[rows].sum() / w[rows].sum())
         self.scans = {}  # feature -> (lowest Gini, its threshold) | None
         self.children = {}  # (feature, threshold) -> (left node, right node)
 
-    def scan(self, f, min_leaf):
-        """Lowest weighted Gini over f's valid cuts, at the first argmin."""
-        if f not in self.scans:
-            (wl, pl), (total_w, total_p), thresholds = split_scan(
-                self.X[:, f], self.columns, min_leaf)
-            if not thresholds.size:
-                self.scans[f] = None
-            else:
-                wr = total_w - wl
-                pr = total_p - pl
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    fl = pl / wl
-                    fr = pr / wr
-                    imp = wl * fl * (1.0 - fl) + wr * fr * (1.0 - fr)
-                i = int(np.argmin(imp))
-                self.scans[f] = (imp[i], float(thresholds[i]))
-        return self.scans[f]
+    def scan(self, feats, min_leaf):
+        """Each feature's lowest weighted Gini over its valid cuts, at the
+        first argmin, from one split_scan of the node's presorted rows."""
+        XT, w, wy = self.data
+        idx = self.order[feats]
+        (wl, pl), (total_w, total_p), thresholds = split_scan(
+            XT[feats[:, None], idx], [w[idx], wy[idx]], min_leaf)
+        wr = total_w[:, None] - wl
+        pr = total_p[:, None] - pl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fl = pl / wl
+            fr = pr / wr
+            imp = wl * fl * (1.0 - fl) + wr * fr * (1.0 - fr)
+        imp[np.isnan(thresholds)] = np.inf
+        cut = imp.argmin(axis=1)
+        rows = np.arange(feats.size)
+        for f, lowest, thr in zip(feats.tolist(), imp[rows, cut].tolist(),
+                                  thresholds[rows, cut].tolist()):
+            self.scans[f] = None if math.isnan(thr) else (lowest, thr)
 
     def best_split(self, feats, min_leaf):
         """Lowest-Gini split over feats; ties break to the lowest feature
-        index, then the lowest threshold (features are scanned ascending,
+        index, then the lowest threshold (features are compared ascending,
         thresholds via first argmin)."""
+        if any(f not in self.scans for f in feats.tolist()):
+            self.scan(np.arange(self.data[0].shape[0]) if self.shared else feats,
+                      min_leaf)
         best_imp, best = np.inf, None
         for f in feats.tolist():
-            scan = self.scan(f, min_leaf)
+            scan = self.scans[f]
             if scan is not None and scan[0] < best_imp:
                 best_imp, best = scan[0], (f, scan[1])
         return best
@@ -147,18 +174,27 @@ class _Node:
     def split(self, f, thr):
         """The (left, right) children of the cut x[f] < thr."""
         if (f, thr) not in self.children:
-            mask = self.X[:, f] < thr
-            w = self.columns[0]
-            self.children[f, thr] = (_Node(self.X[mask], self.y[mask], w[mask]),
-                                     _Node(self.X[~mask], self.y[~mask], w[~mask]))
+            goes_left = self.data[0][f][self.order] < thr
+            n_left = int(np.count_nonzero(goes_left[-1]))
+            self.children[f, thr] = tuple(
+                _Node(self.data, self.order[side].reshape(-1, size), self.shared)
+                for side, size in ((goes_left, n_left), (~goes_left, self.n - n_left)))
         return self.children[f, thr]
 
 
+def _root(X, y, w, shared):
+    """The root node of a tree trained on rows (X, y, w): each feature is
+    sorted once here, and never again below."""
+    XT = np.ascontiguousarray(X.T)
+    order = np.vstack([np.argsort(XT, axis=1, kind="stable"), np.arange(y.size)])
+    return _Node((XT, w, w * y), order, shared)
+
+
 def _grow(node, rng, cfg, n_sub_features, depth=0):
-    if (depth >= cfg.max_depth or node.y.size < 2 * cfg.min_leaf
+    if (depth >= cfg.max_depth or node.n < 2 * cfg.min_leaf
             or node.value in (0.0, 1.0)):
         return {"value": node.value}
-    L = node.X.shape[1]
+    L = node.order.shape[0] - 1
     feats = np.sort(rng.choice(L, size=n_sub_features, replace=False))
     split = node.best_split(feats, cfg.min_leaf)
     if split is None:
@@ -181,6 +217,9 @@ def fit(features, labels, weights, config: LearnerConfig,
     w = np.asarray(weights, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size or y.size != w.size:
         raise SchemaError("features/labels/weights shapes disagree")
+    for name, values in (("features", X), ("labels", y), ("weights", w)):
+        if not np.isfinite(values).all():
+            raise SchemaError(f"{name} must be finite")
     if np.any(w <= 0):
         raise ConfigError("all sample weights must be positive")
     n = y.size
@@ -203,9 +242,9 @@ def fit(features, labels, weights, config: LearnerConfig,
         rng = np.random.default_rng([config.seed, t])
         if config.bootstrap:
             idx = rng.choice(n, size=n, replace=True, p=prob)
-            root = _Node(X[idx], y[idx], w[idx])
+            root = _root(X[idx], y[idx], w[idx], shared=False)
         elif t == 0:
-            root = _Node(X, y, w)  # the same rows for every tree
+            root = _root(X, y, w, shared=True)  # the same rows for every tree
         trees.append(_grow(root, rng, config, n_sub))
     digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()[:16]
     return FittedEnsemble(tuple(trees), L, config, digest)

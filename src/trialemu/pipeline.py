@@ -596,7 +596,8 @@ def run_pipeline(config: PipelineConfig, out_dir,
     Returns the manifest dict; ``manifest.json`` is written after each
     stage that completes, and only then, so a failed run keeps its partial
     artifacts. Artifacts of recorded stages that cannot be resumed are
-    deleted, with the stale manifest, before any stage runs.
+    deleted, with the stale manifest and report bundle, before any stage
+    runs.
     """
     if until is not None and until not in STAGES:
         raise ConfigError(f"unknown stage {until!r}; expected one of {STAGES}")
@@ -618,6 +619,7 @@ def run_pipeline(config: PipelineConfig, out_dir,
                 completed.append(by_name[name])
         if len(completed) < len(entries):
             _remove_artifacts(out, [e for e in entries if e not in completed])
+            _remove_report(out)
             manifest_path.unlink(missing_ok=True)
 
     manifest = {
@@ -646,6 +648,19 @@ def run_pipeline(config: PipelineConfig, out_dir,
 
 
 # --- report bundle ----------------------------------------------------------
+
+# the bundle's files besides the KM curves (km_*.csv)
+REPORT_FILES = ("achieved_vs_target.csv", "tuning_trace.csv", "tree.json",
+                "tree.txt", "logrank.csv", "balance.csv", "subgroups.csv")
+
+
+def _remove_report(out: Path) -> None:
+    """Delete the files ``report`` writes into ``out/report``: its fixed
+    names and every KM curve."""
+    rep = out / "report"
+    for path in [rep / name for name in REPORT_FILES] + list(rep.glob("km_*.csv")):
+        path.unlink(missing_ok=True)
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -679,6 +694,7 @@ def report(run_dir) -> Path:
     for entry in stages.values():
         _verify_stage(out, entry)
 
+    _remove_report(out)  # nothing from an earlier bundle survives
     rep = out / "report"
     rep.mkdir(exist_ok=True)
 
@@ -710,8 +726,6 @@ def report(run_dir) -> Path:
     _write_csv(rep / "tuning_trace.csv",
                ["arm", "step", "rho", "hbar", "residual"], trace_rows)
 
-    for stale in rep.glob("km_*.csv"):  # bundled from an earlier run
-        stale.unlink()
     kms = sorted(n for n in stages["validate"]["artifacts"] if n.startswith("km_"))
     for name in ["tree.json", "tree.txt"] + kms:
         (rep / name).write_text((out / name).read_text(encoding="utf-8"),

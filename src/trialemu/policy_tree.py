@@ -166,19 +166,23 @@ def _subtree_value(node, X, R, rows) -> float:
                             for leaf, idx in _walk(node, X, rows) if leaf.is_leaf})
 
 
+def _scan_features(X, columns, min_leaf):
+    """``split_scan`` of every feature of X (rows x features) at once: each
+    feature's rows are sorted stably and each column is taken in that order."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    return split_scan(np.take_along_axis(X.T, order, axis=1),
+                      [c[order] for c in columns], min_leaf)
+
+
 def _candidate_splits(idx, X, R, min_leaf):
     """All valid (feature, threshold) splits of this subset, as the arrays
     (summed best-arm child rewards, feature, threshold), ranked by that sum
     descending; ties rank the lowest feature, then the lowest threshold,
     first."""
-    columns = [R[idx, 0], R[idx, 1]]
-    totals, features, thresholds = [np.empty(0)], [np.empty(0, int)], [np.empty(0)]
-    for f in range(X.shape[1]):
-        (c0, c1), (t0, t1), thr = split_scan(X[idx, f], columns, min_leaf)
-        totals.append(np.maximum(c0, c1) + np.maximum(t0 - c0, t1 - c1))
-        features.append(np.full(thr.size, f))
-        thresholds.append(thr)
-    total, feature, threshold = (np.concatenate(a) for a in (totals, features, thresholds))
+    (c0, c1), (t0, t1), thr = _scan_features(X[idx], [R[idx, 0], R[idx, 1]], min_leaf)
+    valid = ~np.isnan(thr)
+    total = (np.maximum(c0, c1) + np.maximum(t0[:, None] - c0, t1[:, None] - c1))[valid]
+    feature, threshold = np.nonzero(valid)[0], thr[valid]
     rank = np.lexsort((threshold, feature, -total))
     return total[rank], feature[rank], threshold[rank]
 
@@ -225,16 +229,17 @@ def _cut_scores(node, X, R, reach, min_leaf):
                 one_hot[pos] = 1.0
                 leaves.append((leaf, right))
                 columns += [Rr[:, 0] * one_hot, Rr[:, 1] * one_hot, one_hot]
-    for f in range(X.shape[1]):
-        left_sums, totals, thresholds = split_scan(Xr[:, f], columns, min_leaf)
-        values, counts = {}, []
-        for k, (leaf, right) in enumerate(leaves):
-            s0, s1, n = left_sums[3 * k:3 * k + 3]
-            if right:
-                s0, s1, n = (t - s for t, s in zip(totals[3 * k:3 * k + 3], (s0, s1, n)))
-            values[id(leaf)] = np.maximum(s0, s1)
-            counts.append(n)
-        yield _tree_sum(node, values), np.min(counts, axis=0), thresholds
+    left_sums, totals, thresholds = _scan_features(Xr, columns, min_leaf)
+    values, counts = {}, []
+    for k, (leaf, right) in enumerate(leaves):
+        s0, s1, n = left_sums[3 * k:3 * k + 3]
+        if right:
+            s0, s1, n = (t[:, None] - s for t, s in zip(totals[3 * k:3 * k + 3], (s0, s1, n)))
+        values[id(leaf)] = np.maximum(s0, s1)
+        counts.append(n)
+    values, counts = _tree_sum(node, values), np.min(counts, axis=0)
+    for keep, v, c, thr in zip(~np.isnan(thresholds), values, counts, thresholds):
+        yield v[keep], c[keep], thr[keep]
 
 
 def _local_search(root: Node, X, R, min_leaf) -> None:

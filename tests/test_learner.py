@@ -282,3 +282,100 @@ def test_unbootstrapped_trees_share_split_scans(monkeypatch):
         counts[n_trees] = len(calls)
     assert counts[1] > 0
     assert counts[200] < 10 * counts[1]
+
+
+def _reference_scan(xs, columns, min_leaf):
+    """One sorted row at a time: running sums in row order, and each cut's
+    midpoint if its neighbours differ and both sides keep min_leaf rows."""
+    m = xs.size
+    left = []
+    for c in columns:
+        acc, sums = 0.0, []
+        for v in c:
+            acc += v
+            sums.append(acc)
+        left.append(sums)
+    thresholds = [(xs[i] + xs[i + 1]) / 2.0
+                  if xs[i] != xs[i + 1] and min(i + 1, m - i - 1) >= min_leaf
+                  else None for i in range(m - 1)]
+    return [s[:-1] for s in left], [s[-1] for s in left], thresholds
+
+
+@pytest.mark.parametrize("m, min_leaf", [(1, 1), (2, 1), (7, 3), (9, 5),
+                                         (30, 4), (41, 1), (60, 29), (60, 31)])
+def test_batched_split_scan_equals_a_per_row_reference(m, min_leaf):
+    rng = np.random.default_rng(m * 100 + min_leaf)
+    k = 5
+    block = np.vstack([rng.integers(0, 4, m),  # ties
+                       rng.normal(size=m),
+                       np.full(m, 2.0),  # no valid cut
+                       rng.integers(0, 2, m),
+                       np.round(rng.normal(size=m), 1)]).astype(float)
+    block.sort(axis=1)
+    columns = [rng.uniform(0.5, 3.0, (k, m)), rng.integers(0, 2, (k, m)) * 1.5]
+    left, totals, thresholds = split_scan(block, columns, min_leaf)
+    assert thresholds.shape == (k, m - 1)
+    assert not np.isfinite(thresholds[2]).any()
+    for j in range(k):
+        want_left, want_totals, want_thr = _reference_scan(
+            block[j], [c[j] for c in columns], min_leaf)
+        assert [s[j].tolist() for s in left] == want_left
+        assert [t[j] for t in totals] == want_totals
+        got = [None if np.isnan(t) else t for t in thresholds[j].tolist()]
+        assert got == want_thr
+    if m < 2 * min_leaf:
+        assert np.isnan(thresholds).all()
+
+
+def test_demo_shaped_fit_grows_the_per_tree_oracle():
+    # the stratify risk model's shape: bootstrapped, depth 8, min_leaf 5
+    rng = np.random.default_rng(2026)
+    n = 900
+    X = rng.normal(size=(n, 6))
+    X[:, 0] = rng.integers(0, 2, n)  # tied integer columns
+    X[:, 1] = rng.integers(0, 5, n)
+    X[:, 2] = np.round(rng.normal(60, 10, n))
+    y = (X[:, 0] + 0.5 * X[:, 3] + rng.normal(size=n) > 0.8).astype(float)
+    w = rng.uniform(0.5, 3.0, n)
+    cfg = LearnerConfig(n_trees=20, max_depth=8, min_leaf=5,
+                        feature_subsample=0.7, bootstrap=True, seed=11)
+    model = fit(X, y, w, cfg)
+    oracle = FittedEnsemble(tuple(_oracle_fit(X, y, w, cfg)), 6, cfg,
+                            model.weight_digest)
+    assert model.to_json() == oracle.to_json()
+
+
+def test_bootstrapped_fit_scans_each_node_once(monkeypatch):
+    import trialemu.learner as learner_module
+
+    blocks, draws = [], []
+    best_split = learner_module._Node.best_split
+
+    def counting_scan(x, columns, min_leaf):
+        blocks.append(x.shape[0])
+        return split_scan(x, columns, min_leaf)
+
+    def counting_best_split(node, feats, min_leaf):
+        draws.append(feats.size)
+        return best_split(node, feats, min_leaf)
+
+    monkeypatch.setattr(learner_module, "split_scan", counting_scan)
+    monkeypatch.setattr(learner_module._Node, "best_split", counting_best_split)
+    X, y = make_dataset(4, n=400)
+    X = np.hstack([X, np.random.default_rng(4).normal(size=(400, 3))])
+    fit(X, y, np.ones(400), LearnerConfig(n_trees=10, max_depth=6, min_leaf=3,
+                                          feature_subsample=0.7, seed=2))
+    assert len(draws) > 100 and set(draws) == {5}  # 5 of 6 features a node
+    assert blocks == draws  # one scan per node that drew, of the drawn features
+
+
+@pytest.mark.parametrize("bootstrap", [False, True])
+@pytest.mark.parametrize("which", ["features", "labels", "weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_schema_errors(bootstrap, which, bad):
+    X, y = make_dataset(8)
+    arrays = {"features": X.copy(), "labels": y.copy(), "weights": np.ones(y.size)}
+    arrays[which].flat[7] = bad
+    with pytest.raises(SchemaError, match=which):
+        fit(arrays["features"], arrays["labels"], arrays["weights"],
+            LearnerConfig(n_trees=3, max_depth=3, min_leaf=2, bootstrap=bootstrap))

@@ -359,3 +359,17 @@ def test_a_crafted_manifest_deletes_nothing_outside_the_run(mini_corpus, tmp_pat
     pipeline.run_pipeline(cfg, run, until="filter")
     assert outside.read_text() == "keep\n"
     assert (run / "kept.csv").exists()
+
+
+def test_rerun_deletes_the_stale_report_bundle(mini_corpus, tmp_path):
+    doc = mini_pipeline_doc(mini_corpus)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(load_config(tmp_path, doc), run)
+    rep = pipeline.report(run)
+    bundled = {p.name for p in rep.iterdir()}
+    assert {n for n in bundled if not n.startswith("km_")} == set(pipeline.REPORT_FILES)
+    assert "tree.json" in bundled
+    doc["seed"] += 1  # a new digest: nothing can be resumed
+    pipeline.run_pipeline(load_config(tmp_path, doc), run, until="filter")
+    assert not (rep / "tree.json").exists()
+    assert list(rep.iterdir()) == []
