@@ -74,8 +74,7 @@ def _fit_arm(matched: Cohort, arm: int, horizon: float,
     weights = np.where(y == 1, rho, 1.0)
     if np.unique(y).size < 2:
         warnings.warn(f"arm {arm}: single-class outcome; constant-model fallback")
-        return learner.fit(X, y, weights, config, on_single_class="constant")
-    return learner.fit(X, y, weights, config)
+    return learner.fit(X, y, weights, config, on_single_class="constant")
 
 
 def fit_counterfactuals(matched: Cohort, horizon: float,

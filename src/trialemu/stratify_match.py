@@ -9,6 +9,8 @@ heuristic solving uses greedy construction plus local search. Pairs never
 cross buckets, so the heuristic computes pair distances once per solve as
 one treated-by-untreated block per bucket, and its local search scores
 all candidate swaps for one selected patient in one vectorized expression.
+The heuristic's state is indexed by side (0 treated, 1 untreated), so each
+move is written once and serves both arms.
 """
 
 from __future__ import annotations
@@ -405,162 +407,135 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
 # --- heuristic: greedy construction + local search --------------------------
 
 class _HeurState:
-    """Selection state of one heuristic restart.
+    """Selection state of one heuristic restart, indexed by side s: 0 for
+    treated, 1 for untreated, so each move is written once, for side s and
+    its partner side 1 - s.
 
-    Pair distances come from per-bucket blocks: ``blocks[k]`` holds the
-    distances from the treated patients ``T[k]`` (rows) to the untreated
-    ``C[k]`` (columns), and ``t_pos``/``c_pos`` give each patient's row or
-    column in its bucket's block. ``partner`` maps each selected treated
-    patient to its untreated partner and ``treated_of`` maps back. Running
-    sums of the selected risks, covariates and pair distances give a swap's
-    objective without a full re-evaluation; ``swap_objectives`` scores
-    every candidate for one selected patient in one numpy expression.
+    ``pools[s][k]`` lists bucket k's side-s patients; ``blocks[0][k]`` holds
+    their pair distances, treated ``pools[0][k]`` as rows and untreated
+    ``pools[1][k]`` as columns, and ``blocks[1][k]`` is its transpose, so
+    ``pos[s]`` gives each patient's row in its side's block. ``sel[s]``
+    lists the selected side-s patients in selection order and
+    ``partner[s]`` maps each to its partner on side 1 - s. ``values[s]``
+    holds each patient's risk and targeted covariates, and ``sums[s]``
+    their running sums over the selection; with the running pair-distance
+    sum they give a swap's objective without a full re-evaluation.
+    ``swap_objectives`` scores every candidate for one selected patient in
+    one numpy expression. Blocks are read only by ``_distances``, ``fill``
+    and ``repair_bucket``.
     """
 
-    def __init__(self, problem: MatchProblem, T, C, quotas, blocks):
+    def __init__(self, problem: MatchProblem, pools, quotas, blocks):
         self.p = problem
-        self.blocks = blocks
-        self.bucket = problem.treated_bucket.tolist()
-        self.t_pos = np.empty(len(problem.treated_ids), int)
-        self.c_pos = np.empty(len(problem.untreated_ids), int)
-        for k in range(len(blocks)):
-            self.t_pos[T[k]] = np.arange(len(T[k]))
-            self.c_pos[C[k]] = np.arange(len(C[k]))
+        self.pools = pools
+        self.blocks = (blocks, [b.T for b in blocks])
+        self.bucket = (problem.treated_bucket.tolist(),
+                       problem.untreated_bucket.tolist())
+        self.pos = (np.empty(len(problem.treated_ids), int),
+                    np.empty(len(problem.untreated_ids), int))
+        for s in (0, 1):
+            for members in pools[s]:
+                self.pos[s][members] = np.arange(len(members))
         self.quotas = quotas
         self.n_sel = int(sum(quotas))
-        self.tgt_cols = problem.target_columns()
-        self.sel_t: list[int] = []
-        self.sel_c: list[int] = []
-        self.partner: dict[int, int] = {}
-        self.treated_of: dict[int, int] = {}
-        self.sum_tw = 0.0
-        self.sum_cw = 0.0
-        self.sum_tcol = {c: 0.0 for c, _, _ in self.tgt_cols}
-        self.sum_ccol = {c: 0.0 for c, _, _ in self.tgt_cols}
+        cols = problem.target_columns()
+        arms = ((problem.treated_risks, problem.treated_X),
+                (problem.untreated_risks, problem.untreated_X))
+        self.values = tuple(np.column_stack([risks] + [X[:, c] for c, _, _ in cols])
+                            for risks, X in arms)
+        tgt = problem.risk_target
+        self.targets = (np.array([tgt] + [a1 for _, _, a1 in cols]),
+                        np.array([tgt] + [a0 for _, a0, _ in cols]))
+        self.sel: tuple[list[int], list[int]] = ([], [])
+        self.partner: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.sums = np.zeros((2, len(cols) + 1))
         self.dist_sum = 0.0
 
-    def dist(self, ti: int, ci: int) -> float:
-        return float(self.blocks[self.bucket[ti]][self.t_pos[ti], self.c_pos[ci]])
+    def _distances(self, s: int, j: int) -> np.ndarray:
+        """The distances from each side-s patient of j's bucket to j, a
+        patient of side 1 - s, indexed by ``pos[s]``."""
+        return self.blocks[1 - s][self.bucket[1 - s][j]][self.pos[1 - s][j]]
 
     def _add_pair(self, ti: int, ci: int) -> None:
-        self.sel_t.append(ti)
-        self.sel_c.append(ci)
-        self.partner[ti] = ci
-        self.treated_of[ci] = ti
-        self.sum_tw += float(self.p.treated_risks[ti])
-        self.sum_cw += float(self.p.untreated_risks[ci])
-        for c in self.sum_tcol:
-            self.sum_tcol[c] += float(self.p.treated_X[ti, c])
-            self.sum_ccol[c] += float(self.p.untreated_X[ci, c])
-        self.dist_sum += self.dist(ti, ci)
+        for s, (i, j) in enumerate(((ti, ci), (ci, ti))):
+            self.sel[s].append(i)
+            self.partner[s][i] = j
+            self.sums[s] += self.values[s][i]
+        self.dist_sum += float(self._distances(0, ci)[self.pos[0][ti]])
 
-    def greedy_fill(self, T, C) -> None:
+    def fill(self, rng) -> None:
+        """Select each bucket's quota of pairs: without rng, greedily by
+        ascending distance, ties to the lowest flat block index; with rng,
+        a random draw from each side."""
         for k, q in enumerate(self.quotas):
             if q == 0:
                 continue
-            block = self.blocks[k]
-            flat_order = np.argsort(block, axis=None, kind="stable")
-            rows, cols = np.unravel_index(flat_order, block.shape)
-            tk, ck = T[k].tolist(), C[k].tolist()
-            used_t, used_c = set(), set()
-            for a, b in zip(rows.tolist(), cols.tolist()):
-                if a in used_t or b in used_c:
-                    continue
-                used_t.add(a)
-                used_c.add(b)
-                self._add_pair(tk[a], ck[b])
-                if len(used_t) == q:
-                    break
+            tk, ck = self.pools[0][k], self.pools[1][k]
+            if rng is not None:
+                pairs = zip(rng.choice(tk, size=q, replace=False).tolist(),
+                            rng.choice(ck, size=q, replace=False).tolist())
+            else:
+                block = self.blocks[0][k]
+                used_t, used_c, pairs = set(), set(), []
+                for f in np.argsort(block, axis=None, kind="stable").tolist():
+                    a, b = divmod(f, block.shape[1])
+                    if a in used_t or b in used_c:
+                        continue
+                    used_t.add(a)
+                    used_c.add(b)
+                    pairs.append((int(tk[a]), int(ck[b])))
+                    if len(pairs) == q:
+                        break
+            for ti, ci in pairs:
+                self._add_pair(ti, ci)
 
-    def random_fill(self, T, C, rng) -> None:
-        for k, q in enumerate(self.quotas):
-            if q == 0:
-                continue
-            sel_t = rng.choice(T[k], size=q, replace=False)
-            sel_c = rng.choice(C[k], size=q, replace=False)
-            for ti, ci in zip(sel_t, sel_c):
-                self._add_pair(int(ti), int(ci))
-
-    def _objective_from_sums(self, sum_tw, sum_cw, sum_tcol, sum_ccol, dist_sum):
-        """Scalars give one objective; arrays give one per element, each
-        bitwise equal to the scalar evaluation of that element's sums."""
-        p = self.p
-        n = self.n_sel
-        tgt = p.risk_target
-        ot = abs(tgt - sum_tw / n)
-        oc = abs(tgt - sum_cw / n)
-        ct = cc = 0.0
-        for c, a0, a1 in self.tgt_cols:
-            ct += abs(a1 - sum_tcol[c] / n)
-            cc += abs(a0 - sum_ccol[c] / n)
-        return _objective_from_terms(p, ot, oc, ct, cc, dist_sum, n)
+    def _objective_from_sums(self, sums, dist_sum):
+        """Scalar sums give one objective; a 2-D side gives one per row,
+        each bitwise equal to the scalar evaluation of that row's sums."""
+        dev = [abs(self.targets[s] - sums[s] / self.n_sel) for s in (0, 1)]
+        ct, cc = (sum((d[..., i] for i in range(1, d.shape[-1])), 0.0) for d in dev)
+        return _objective_from_terms(self.p, dev[0][..., 0], dev[1][..., 0],
+                                     ct, cc, dist_sum, self.n_sel)
 
     def objective(self) -> float:
-        return self._objective_from_sums(
-            self.sum_tw, self.sum_cw, self.sum_tcol, self.sum_ccol, self.dist_sum)
+        return float(self._objective_from_sums(self.sums, self.dist_sum))
 
-    def selected(self, side: str, k: int) -> list[int]:
-        """Bucket k's selected patients on one side, in selection order."""
-        members = [t for t in self.sel_t if self.bucket[t] == k]
-        return members if side == "treated" else [self.partner[t] for t in members]
+    def selected(self, s: int, k: int) -> list[int]:
+        """Bucket k's selected side-s patients, in treated selection order."""
+        members = [t for t in self.sel[0] if self.bucket[0][t] == k]
+        return [self.partner[0][t] for t in members] if s else members
 
-    def swap_objectives(self, side: str, old: int, news: np.ndarray) -> np.ndarray:
-        """Objective after swapping selected patient old for each unselected
-        patient in news; each swapped sum is formed as (sum + new) - old."""
-        p = self.p
-        sum_tw, sum_cw = self.sum_tw, self.sum_cw
-        sum_tcol, sum_ccol = self.sum_tcol, self.sum_ccol
-        if side == "treated":
-            d = self.blocks[self.bucket[old]][:, self.c_pos[self.partner[old]]]
-            d_new, d_old = d[self.t_pos[news]], d[self.t_pos[old]]
-            sum_tw = (sum_tw + p.treated_risks[news]) - p.treated_risks[old]
-            sum_tcol = {c: (v + p.treated_X[news, c]) - p.treated_X[old, c]
-                        for c, v in sum_tcol.items()}
-        else:
-            t = self.treated_of[old]
-            d = self.blocks[self.bucket[t]][self.t_pos[t]]
-            d_new, d_old = d[self.c_pos[news]], d[self.c_pos[old]]
-            sum_cw = (sum_cw + p.untreated_risks[news]) - p.untreated_risks[old]
-            sum_ccol = {c: (v + p.untreated_X[news, c]) - p.untreated_X[old, c]
-                        for c, v in sum_ccol.items()}
-        dist = (self.dist_sum + d_new) - d_old
-        return self._objective_from_sums(sum_tw, sum_cw, sum_tcol, sum_ccol, dist)
+    def swap_objectives(self, s: int, old: int, news: np.ndarray) -> np.ndarray:
+        """Objective after swapping selected side-s patient old for each
+        unselected patient in news; each swapped sum is (sum + new) - old."""
+        sums = list(self.sums)
+        sums[s] = (sums[s] + self.values[s][news]) - self.values[s][old]
+        d = self._distances(s, self.partner[s][old])
+        dist = (self.dist_sum + d[self.pos[s][news]]) - d[self.pos[s][old]]
+        return self._objective_from_sums(sums, dist)
 
-    def apply_swap(self, side: str, old: int, new: int) -> None:
-        p = self.p
-        if side == "treated":
-            j = self.partner.pop(old)
-            self.sel_t[self.sel_t.index(old)] = new
-            self.partner[new] = j
-            self.treated_of[j] = new
-            self.sum_tw += float(p.treated_risks[new]) - float(p.treated_risks[old])
-            for c in self.sum_tcol:
-                self.sum_tcol[c] += float(p.treated_X[new, c]) - float(p.treated_X[old, c])
-            self.dist_sum += self.dist(new, j) - self.dist(old, j)
-        else:
-            t = self.treated_of.pop(old)
-            self.sel_c[self.sel_c.index(old)] = new
-            self.partner[t] = new
-            self.treated_of[new] = t
-            self.sum_cw += float(p.untreated_risks[new]) - float(p.untreated_risks[old])
-            for c in self.sum_ccol:
-                self.sum_ccol[c] += float(p.untreated_X[new, c]) - float(p.untreated_X[old, c])
-            self.dist_sum += self.dist(t, new) - self.dist(t, old)
+    def apply_swap(self, s: int, old: int, new: int) -> None:
+        j = self.partner[s].pop(old)
+        self.sel[s][self.sel[s].index(old)] = new
+        self.partner[s][new] = j
+        self.partner[1 - s][j] = new
+        self.sums[s] += self.values[s][new] - self.values[s][old]
+        d = self._distances(s, j)
+        self.dist_sum += float(d[self.pos[s][new]]) - float(d[self.pos[s][old]])
 
     def repair_bucket(self, k: int) -> bool:
         """Optimally re-pair bucket k's current selection; True if improved."""
-        members = self.selected("treated", k)
-        if len(members) < 2:
+        ts, cs = self.selected(0, k), self.selected(1, k)
+        if len(ts) < 2:
             return False
-        cs = [self.partner[t] for t in members]
-        sub = self.blocks[k][np.ix_(self.t_pos[members], self.c_pos[cs])]
+        sub = self.blocks[0][k][np.ix_(self.pos[0][ts], self.pos[1][cs])]
         ri, ci = linear_sum_assignment(sub)
         new_cost = float(sub[ri, ci].sum())
         old_cost = float(np.trace(sub))
         if new_cost < old_cost - 1e-15:
             for a, b in zip(ri, ci):
-                self.partner[members[a]] = cs[b]
-                self.treated_of[cs[b]] = members[a]
+                self.partner[0][ts[a]] = cs[b]
+                self.partner[1][cs[b]] = ts[a]
             self.dist_sum += new_cost - old_cost
             return True
         return False
@@ -580,27 +555,22 @@ def _solve_heuristic(problem: MatchProblem, seed: int, move_budget: int) -> Matc
     best = None
     for restart in range(n_restarts):
         rng = None if restart == 0 else np.random.default_rng([seed, restart])
-        sol = _heuristic_once(problem, T, C, quotas, blocks, rng, move_budget)
+        sol = _heuristic_once(_HeurState(problem, (T, C), quotas, blocks), rng,
+                              move_budget)
         key = (sol.objective, sol.pairs)
         if best is None or key < best[0]:
             best = (key, replace(sol, restart=restart))
     return best[1]
 
 
-def _heuristic_once(problem: MatchProblem, T, C, quotas, blocks, rng,
-                    move_budget: int) -> MatchSolution:
+def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
     """One restart: fill, then sweep single swaps and bucket re-pairings
     until a sweep finds no improvement or move_budget evaluations are
     spent. Each selected patient takes the best improving swap, where a
     candidate replaces the running best only when it is better by more
     than 1e-12; an evaluation past the budget ends the search."""
-    state = _HeurState(problem, T, C, quotas, blocks)
-    if rng is None:
-        state.greedy_fill(T, C)
-    else:
-        state.random_fill(T, C, rng)
-
-    K = problem.buckets.n_buckets
+    state.fill(rng)
+    K = len(state.quotas)
     for k in range(K):
         state.repair_bucket(k)
     current = state.objective()
@@ -609,20 +579,21 @@ def _heuristic_once(problem: MatchProblem, T, C, quotas, blocks, rng,
     while sweep_improved and evals < move_budget:
         sweep_improved = False
         for k in range(K):
-            for side, pool in (("treated", T[k]), ("untreated", C[k])):
-                selected = state.selected(side, k)
+            for s in (0, 1):
+                pool = state.pools[s][k]
+                selected = state.selected(s, k)
                 unselected = pool[~np.isin(pool, selected)]
                 for old in selected:
                     n_scored = min(unselected.size, move_budget - evals)
                     # the one evaluation past the budget counts, unscored
                     evals += n_scored + (n_scored < unselected.size)
-                    trials = state.swap_objectives(side, old, unselected[:n_scored])
+                    trials = state.swap_objectives(s, old, unselected[:n_scored])
                     best_pos, best_obj = None, current
                     for pos in np.flatnonzero(trials < current - 1e-12).tolist():
                         if trials[pos] < best_obj - 1e-12:
                             best_pos, best_obj = pos, float(trials[pos])
                     if best_pos is not None:
-                        state.apply_swap(side, old, int(unselected[best_pos]))
+                        state.apply_swap(s, old, int(unselected[best_pos]))
                         unselected[best_pos] = old
                         current = best_obj
                         sweep_improved = True
@@ -636,9 +607,8 @@ def _heuristic_once(problem: MatchProblem, T, C, quotas, blocks, rng,
             if evals > move_budget:
                 break
 
-    st = np.array(state.sel_t, int)
-    sc = np.array(state.sel_c, int)
-    slot = {ci: i for i, ci in enumerate(state.sel_c)}
-    pairing = [slot[state.partner[t]] for t in state.sel_t]
-    return replace(_build_solution(problem, st, sc, pairing), evals=evals,
+    st, sc = (np.array(sel, int) for sel in state.sel)
+    slot = {ci: i for i, ci in enumerate(state.sel[1])}
+    pairing = [slot[state.partner[0][t]] for t in state.sel[0]]
+    return replace(_build_solution(state.p, st, sc, pairing), evals=evals,
                    budget_exhausted=evals > move_budget or sweep_improved)

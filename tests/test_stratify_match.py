@@ -286,43 +286,103 @@ def test_heuristic_golden_outputs(name, budget):
     assert 0 <= sol.restart < max(1, min(8, 200 // len(sol.pairs)))
 
 
-@pytest.mark.parametrize("name", ["three-buckets", "one-bucket-no-distance"])
-def test_swap_objectives_equal_scalar_evaluation(name):
-    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+def _heur_state(problem):
     T, C = _bucket_members(problem)
     quotas = problem.buckets.quotas
     blocks = [problem.distance_matrix(T[k], C[k]) for k in range(len(quotas))]
-    state = _HeurState(problem, T, C, quotas, blocks)
-    state.random_fill(T, C, np.random.default_rng(0))
-    p = problem
-    for k in range(len(quotas)):
-        for side, pool, risks, X in (
-                ("treated", T[k], p.treated_risks, p.treated_X),
-                ("untreated", C[k], p.untreated_risks, p.untreated_X)):
-            selected = state.selected(side, k)
-            news = np.array([i for i in pool if i not in selected], int)
+    return _HeurState(problem, (T, C), quotas, blocks)
+
+
+def _side_values(problem, s, i):
+    """Patient i of side s (0 treated, 1 untreated): its risk, then its
+    targeted covariates."""
+    risks, X = ((problem.treated_risks, problem.treated_X),
+                (problem.untreated_risks, problem.untreated_X))[s]
+    return [float(risks[i])] + [float(X[i, c]) for c, _, _ in problem.target_columns()]
+
+
+def _pair_distance(full, s, i, j):
+    """Distance between patient i of side s and patient j of side 1 - s."""
+    return float(full[i, j] if s == 0 else full[j, i])
+
+
+@pytest.mark.parametrize("name", ["three-buckets", "one-bucket-no-distance"])
+def test_swap_objectives_equal_scalar_evaluation(name):
+    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+    full = problem.distance_matrix()
+    state = _heur_state(problem)
+    state.fill(np.random.default_rng(0))
+    for k in range(len(problem.buckets.quotas)):
+        for s in (0, 1):
+            selected = state.selected(s, k)
+            news = np.array([i for i in state.pools[s][k] if i not in selected], int)
             for old in selected:
+                j = state.partner[s][old]
                 expected = []
                 for new in news.tolist():
-                    sums = {"treated": [state.sum_tw, state.sum_tcol],
-                            "untreated": [state.sum_cw, state.sum_ccol]}
-                    w, cols = sums[side]
-                    sums[side] = [
-                        w + float(risks[new]) - float(risks[old]),
-                        {c: v + float(X[new, c]) - float(X[old, c])
-                         for c, v in cols.items()}]
-                    if side == "treated":
-                        j = state.partner[old]
-                        d_new, d_old = state.dist(new, j), state.dist(old, j)
-                    else:
-                        t = state.treated_of[old]
-                        d_new, d_old = state.dist(t, new), state.dist(t, old)
-                    expected.append(state._objective_from_sums(
-                        sums["treated"][0], sums["untreated"][0],
-                        sums["treated"][1], sums["untreated"][1],
-                        state.dist_sum + d_new - d_old))
-                got = state.swap_objectives(side, old, news)
+                    sums = [row.tolist() for row in state.sums]
+                    sums[s] = [v + a - b for v, a, b in zip(
+                        sums[s], _side_values(problem, s, new),
+                        _side_values(problem, s, old))]
+                    dist = (state.dist_sum + _pair_distance(full, s, new, j)
+                            - _pair_distance(full, s, old, j))
+                    expected.append(float(state._objective_from_sums(
+                        np.array(sums), dist)))
+                got = state.swap_objectives(s, old, news)
                 assert got.tolist() == expected  # bitwise, not approximate
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_fill_breaks_distance_ties_by_flat_index(seed):
+    # a binary distance covariate: every distance is 0 or one shared value
+    rng = np.random.default_rng(seed)
+    n1, n0, q = 9, 12, 6
+    problem = make_problem(rng.uniform(0.3, 0.8, n1), rng.uniform(0.3, 0.8, n0),
+                           (0.0, 1.0), (q,), tX=rng.integers(0, 2, (n1, 1)),
+                           cX=rng.integers(0, 2, (n0, 1)), dist=("x",))
+    block = problem.distance_matrix()
+    assert np.unique(block).size == 2
+    used_t, used_c, expected = set(), set(), []
+    for f in sorted(range(n1 * n0), key=lambda f: (block.flat[f], f)):
+        a, b = divmod(f, n0)
+        if a not in used_t and b not in used_c and len(expected) < q:
+            used_t.add(a)
+            used_c.add(b)
+            expected.append((a, b))
+    state = _heur_state(problem)
+    state.fill(None)
+    assert list(zip(*state.sel)) == expected
+    assert [(t, state.partner[0][t]) for t in state.sel[0]] == expected
+
+
+@pytest.mark.parametrize("name", ["three-buckets", "one-bucket"])
+def test_state_after_applied_swaps_matches_a_recomputation(name):
+    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+    full = problem.distance_matrix()
+    state = _heur_state(problem)
+    state.fill(np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    K = len(problem.buckets.quotas)
+    repaired = 0
+    for step in range(200):
+        k = int(rng.integers(K))
+        if step % 10 == 9:
+            repaired += state.repair_bucket(k)
+            continue
+        s = int(rng.integers(2))
+        selected = state.selected(s, k)
+        free = [i for i in state.pools[s][k].tolist() if i not in selected]
+        if selected and free:
+            state.apply_swap(s, int(rng.choice(selected)), int(rng.choice(free)))
+    assert repaired > 0
+    assert {j: i for i, j in state.partner[0].items()} == state.partner[1]
+    for s in (0, 1):
+        assert len(set(state.sel[s])) == len(state.sel[s]) == state.n_sel
+        assert set(state.partner[s]) == set(state.sel[s])
+        sums = np.sum([_side_values(problem, s, i) for i in state.sel[s]], axis=0)
+        np.testing.assert_allclose(state.sums[s], sums, rtol=0, atol=1e-9)
+    dist = sum(full[t, c] for t, c in state.partner[0].items())
+    assert abs(state.dist_sum - dist) <= 1e-9
 
 
 def test_blocks_and_pair_distances_equal_the_full_matrix():
