@@ -6,8 +6,9 @@ artifacts from previous invocations of the same run directory. ``synth``
 generates the synthetic demo inputs and ``report`` assembles the report
 bundle from a finished run.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 infeasible
-matching target, 5 unreachable tuning target.
+Exit codes: 0 success, else the ``exit_code`` of the ``TrialEmuError``
+raised (see ``trialemu.errors``): 2 configuration error, 3 data error, 4
+infeasible matching target, 5 unreachable tuning target.
 """
 
 from __future__ import annotations
@@ -21,29 +22,7 @@ import click
 
 from . import pipeline, synthgen
 from .cohort import save_cohort, save_trial_config
-from .errors import (
-    ArtifactError,
-    CohortParseError,
-    ConfigError,
-    DegenerateModelError,
-    InsufficientDataError,
-    IntegrityError,
-    InvalidRewardsError,
-    InvalidSolutionError,
-    SchemaError,
-    TargetInfeasibleError,
-    UndefinedStatisticError,
-    UnreachableTargetError,
-)
-
-_EXIT_CODES = (
-    (ConfigError, 2),
-    (TargetInfeasibleError, 4),
-    (UnreachableTargetError, 5),
-    ((SchemaError, CohortParseError, IntegrityError, ArtifactError,
-      DegenerateModelError, InsufficientDataError, InvalidSolutionError,
-      InvalidRewardsError, UndefinedStatisticError), 3),
-)
+from .errors import TrialEmuError
 
 
 def _handle_errors(fn):
@@ -51,16 +30,11 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except tuple(t for types, _ in _EXIT_CODES
-                     for t in (types if isinstance(types, tuple) else (types,))
-                     ) as exc:
+        except TrialEmuError as exc:
             stage = getattr(exc, "stage", None)
             prefix = f"stage {stage}: " if stage else ""
             click.echo(f"error: {prefix}{exc}", err=True)
-            for types, code in _EXIT_CODES:
-                if isinstance(exc, types):
-                    sys.exit(code)
-            raise  # unreachable
+            sys.exit(exc.exit_code)
     return wrapper
 
 

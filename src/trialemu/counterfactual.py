@@ -4,7 +4,8 @@ One event-free-probability model is fit per treatment arm of the matched
 cohort. A weight rho >= 1 amplifies the loss of event-free patients in
 that arm, pushing the arm's mean predicted event-free rate upward; tuning
 picks the rho that aligns the mean with the trial target, absorbing
-residual (unobserved) confounding.
+residual (unobserved) confounding. Each fit is predicted once, over the
+whole matched cohort; those predictions are the arm's reward column.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ class RewardPair:
     model1: learner.FittedEnsemble
     rho0: float
     rho1: float
-    hbar0: float
-    hbar1: float
+    rewards: np.ndarray  # n x 2: each model's predictions over the matched cohort
+    hbar0 = property(lambda self: float(self.rewards[:, 0].mean()))
+    hbar1 = property(lambda self: float(self.rewards[:, 1].mean()))
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class RewardMatrix:
     ids: tuple[str, ...]
     rewards: np.ndarray  # n x 2: column 0 = reward under control, 1 = treatment
     horizon: float
-    model_digests: tuple[str, str] = ("", "")
 
     def __post_init__(self):
         r = np.asarray(self.rewards, dtype=float)
@@ -66,31 +67,32 @@ def _arm_training_data(matched: Cohort, arm: int, horizon: float):
     return X, y
 
 
-def _fit_arm(matched: Cohort, arm: int, horizon: float,
-             config: learner.LearnerConfig, rho: float) -> learner.FittedEnsemble:
+def _fit_and_predict(matched: Cohort, arm: int, horizon: float,
+                     config: learner.LearnerConfig, rho: float):
+    """One arm's model at weight rho, and its predictions over the whole
+    matched cohort."""
     if rho < 1.0:
         raise ConfigError("rho must be >= 1 (weights only amplify event-free outcomes)")
     X, y = _arm_training_data(matched, arm, horizon)
     weights = np.where(y == 1, rho, 1.0)
     if np.unique(y).size < 2:
         warnings.warn(f"arm {arm}: single-class outcome; constant-model fallback")
-    return learner.fit(X, y, weights, config, on_single_class="constant")
+    model = learner.fit(X, y, weights, config, on_single_class="constant")
+    return model, learner.predict_prob(model, matched.covariate_matrix())
 
 
 def fit_counterfactuals(matched: Cohort, horizon: float,
                         config: learner.LearnerConfig,
                         rho0: float = 1.0, rho1: float = 1.0,
                         models: dict | None = None) -> RewardPair:
-    """Fit both arm models and average their predictions over the full
-    matched cohort (both arms). ``models`` maps (arm, rho) to a model that
-    ``tune_weight`` already fit on the same inputs; those are reused."""
+    """Fit both arm models and predict each over the full matched cohort
+    (both arms). ``models`` maps (arm, rho) to the (model, predictions)
+    that ``tune_weight`` already made on the same inputs; those are reused."""
     models = models or {}
-    model0 = models.get((0, rho0)) or _fit_arm(matched, 0, horizon, config, rho0)
-    model1 = models.get((1, rho1)) or _fit_arm(matched, 1, horizon, config, rho1)
-    X_all = matched.covariate_matrix()
-    hbar0 = float(learner.predict_prob(model0, X_all).mean())
-    hbar1 = float(learner.predict_prob(model1, X_all).mean())
-    return RewardPair(model0, model1, rho0, rho1, hbar0, hbar1)
+    (model0, r0), (model1, r1) = (
+        models.get((arm, rho)) or _fit_and_predict(matched, arm, horizon, config, rho)
+        for arm, rho in ((0, rho0), (1, rho1)))
+    return RewardPair(model0, model1, rho0, rho1, np.column_stack([r0, r1]))
 
 
 @dataclass
@@ -115,28 +117,28 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     target. Bisection assumes the mean responds monotonically to rho; a
     detected violation falls back to a grid search over [1, rho_max].
 
-    If ``models`` is given, the model fit at the returned rho is stored in
-    it under (arm, rho), so that ``fit_counterfactuals`` need not refit it.
-    Only the fit nearest the target is held meanwhile; that is the one
-    returned except, at times, after a grid fallback."""
+    If ``models`` is given, the (model, predictions) pair fit at the
+    returned rho is stored in it under (arm, rho), so that
+    ``fit_counterfactuals`` need neither refit nor repredict it. Only the
+    fit nearest the target is held meanwhile; that is the one returned
+    except, at times, after a grid fallback."""
     if not 0.0 <= target_mu <= 1.0:
         raise ConfigError("target must be a probability")
     check_tuning(tol, rho_max)
     if trace is None:
         trace = TuningTrace([], [], [])
-    X_all = matched.covariate_matrix()
 
     evaluated: dict[float, float] = {}
-    kept = {}  # the fit nearest the target so far, by rho
+    kept = {}  # the (model, predictions) nearest the target so far, by rho
 
     def hbar(rho: float) -> float:
         if rho not in evaluated:
-            model = _fit_arm(matched, arm, horizon, config, rho)
-            evaluated[rho] = h = float(learner.predict_prob(model, X_all).mean())
+            fit = _fit_and_predict(matched, arm, horizon, config, rho)
+            evaluated[rho] = h = float(fit[1].mean())
             trace.record(rho, h, target_mu)
             if all(abs(h - target_mu) < abs(evaluated[r] - target_mu) for r in kept):
                 kept.clear()
-                kept[rho] = model
+                kept[rho] = fit
         return evaluated[rho]
 
     def chosen(rho: float) -> float:
@@ -200,15 +202,9 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
 
 
 def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMatrix:
-    X = matched.covariate_matrix()
-    r0 = learner.predict_prob(pair.model0, X)
-    r1 = learner.predict_prob(pair.model1, X)
-    return RewardMatrix(
-        ids=tuple(matched.ids),
-        rewards=np.column_stack([r0, r1]),
-        horizon=horizon,
-        model_digests=(pair.model0.weight_digest, pair.model1.weight_digest),
-    )
+    """The pair's reward columns, keyed by the ids of the matched cohort
+    they were predicted over."""
+    return RewardMatrix(tuple(matched.ids), pair.rewards, horizon)
 
 
 def check_tuning(tol: float, rho_max: float) -> None:
@@ -243,4 +239,4 @@ def constrain_rewards(matrix: RewardMatrix, factor: float,
     else:
         mask = r[:, 1] > r[:, 0]
         r[mask, 1] = factor * r[mask, 0]
-    return RewardMatrix(matrix.ids, r, matrix.horizon, matrix.model_digests)
+    return RewardMatrix(matrix.ids, r, matrix.horizon)

@@ -1,16 +1,22 @@
 """Exception hierarchy shared across the package.
 
-Grouped by pipeline exit-code category so the CLI can map errors to exit
-codes without inspecting messages.
+Each class carries the CLI exit code of its category as ``exit_code``: 2
+for configuration errors, 4 for an infeasible matching target, 5 for an
+unreachable tuning target and 3, inherited from the base class, for every
+data error. The CLI exits with it without inspecting messages.
 """
 
 
 class TrialEmuError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+
 
 class ConfigError(TrialEmuError):
     """Invalid or inconsistent configuration."""
+
+    exit_code = 2
 
 
 class SchemaError(TrialEmuError):
@@ -36,6 +42,8 @@ class InsufficientDataError(TrialEmuError):
 class TargetInfeasibleError(TrialEmuError):
     """No matching selection can reach the trial target."""
 
+    exit_code = 4
+
 
 class InvalidSolutionError(TrialEmuError):
     """A match solution violates a constraint of the problem."""
@@ -43,6 +51,8 @@ class InvalidSolutionError(TrialEmuError):
 
 class UnreachableTargetError(TrialEmuError):
     """Weight tuning cannot reach the trial target within rho_max."""
+
+    exit_code = 5
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -231,31 +231,18 @@ class _Run:
         return load_cohort(self.out / "eligible.csv", self.config.schema)
 
     @cached_property
-    def pairs(self) -> list[tuple[str, str, int]]:
-        return [(tid, cid, int(bucket))
-                for tid, cid, bucket in _read_rows(self.out / "matches.csv")]
-
-    @cached_property
     def matched(self) -> Cohort:
         return self.eligible.subset(
-            [pid for tid, cid, _ in self.pairs for pid in (tid, cid)])
-
-    @cached_property
-    def tune(self) -> dict:
-        return _read_json(self.out / "tune.json")
-
-    @cached_property
-    def constrained(self) -> counterfactual.RewardMatrix:
-        return self.rewards("rewards_constrained.csv")
+            [pid for tid, cid, _ in _read_rows(self.out / "matches.csv")
+             for pid in (tid, cid)])
 
     def rewards(self, name: str) -> counterfactual.RewardMatrix:
-        """Parse a reward CSV; ``constrained`` caches the one later stages share."""
+        """Parse a reward CSV; the horizon is the trial target's."""
         rows = _read_rows(self.out / name)
         return counterfactual.RewardMatrix(
             ids=tuple(pid for pid, _r0, _r1 in rows),
             rewards=np.array([(float(r0), float(r1)) for _pid, r0, r1 in rows]),
-            horizon=self.tune["horizon_months"],
-            model_digests=tuple(self.tune["model_digests"]))
+            horizon=self.trial[0].horizon_months)
 
 
 def _build_problem(run: _Run, risks: dict, quotas=None) -> stratify_match.MatchProblem:
@@ -378,7 +365,7 @@ def _stage_tune(run: _Run):
     cf_config = replace(config.counterfactual_learner, seed=config.seed + 1)
 
     rhos = {0: 1.0, 1: 1.0}
-    models = {}  # (arm, rho) -> the model tune_weight fit there
+    models = {}  # (arm, rho) -> the (model, predictions) tune_weight made there
     traces = {}
     for arm, mu in ((0, target.mu0), (1, target.mu1)):
         if arm not in config.tune.arms:
@@ -388,12 +375,7 @@ def _stage_tune(run: _Run):
             matched, arm, mu, horizon, cf_config,
             tol=config.tune.tol, rho_max=config.tune.rho_max, trace=trace,
             models=models)
-        traces[str(arm)] = {
-            "rho_sequence": trace.rho_sequence,
-            "hbar_sequence": trace.hbar_sequence,
-            "residuals": trace.residuals,
-            "method": trace.method,
-        }
+        traces[str(arm)] = asdict(trace)
     pair = counterfactual.fit_counterfactuals(
         matched, horizon, cf_config, rho0=rhos[0], rho1=rhos[1], models=models)
     matrix = counterfactual.reward_matrix(pair, matched, horizon)
@@ -403,7 +385,7 @@ def _stage_tune(run: _Run):
         "rho0": pair.rho0, "rho1": pair.rho1,
         "hbar0": pair.hbar0, "hbar1": pair.hbar1,
         "targets": {"mu0": target.mu0, "mu1": target.mu1},
-        "model_digests": list(matrix.model_digests),
+        "model_digests": [pair.model0.weight_digest, pair.model1.weight_digest],
         "traces": traces,
     })
 
@@ -428,7 +410,8 @@ def _stage_constrain(run: _Run):
 
 
 def _stage_tree(run: _Run):
-    config, matched, matrix = run.config, run.matched, run.constrained
+    config, matched = run.config, run.matched
+    matrix = run.rewards("rewards_constrained.csv")
     if tuple(matrix.ids) != tuple(matched.ids):
         raise ArtifactError("rewards_constrained.csv ids disagree with matches.csv")
     X = matched.covariate_matrix()
@@ -492,7 +475,7 @@ def _stage_validate(run: _Run):
     arms, leaf_ids = policy_tree.assign(tree, X)
 
     subgroups = policy_tree.subgroup_report(
-        tree, matched, run.constrained, config.tree.min_effect)
+        tree, leaf_ids, matched.treatments(), config.tree.min_effect)
 
     groups = {}
     for label, mask in (("recommended", arms == 1),
@@ -523,7 +506,6 @@ def _stage_validate(run: _Run):
                 leaf_ids, matched.treatments(), values)
             balance["scores"][score_name] = {str(k): v for k, v in audit.items()}
     else:
-        balance["scores"] = {}
         balance["skipped"] = "clinical score covariates not present in schema"
 
     _write_json(run.new("validation.json"), {
@@ -565,6 +547,21 @@ def _config_digest(config: PipelineConfig) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``: a JSON object whose ``stages`` lists
+    objects with a string ``name`` and an object ``artifacts``."""
+    try:
+        manifest = _read_json(path)
+    except ValueError:  # not UTF-8, or not JSON
+        manifest = None
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("artifacts"), dict) for e in stages):
+        raise ArtifactError(f"{path}: malformed manifest.json; delete it and rerun")
+    return manifest
+
+
 def _verify_stage(out: Path, entry: dict) -> None:
     for name, digest in entry["artifacts"].items():
         path = out / name
@@ -583,7 +580,7 @@ def _remove_artifacts(out: Path, entries) -> None:
     inside ``out`` are touched, so a crafted manifest cannot reach beyond
     the run directory."""
     for entry in entries:
-        for name in entry.get("artifacts", {}):
+        for name in entry["artifacts"]:
             path = out / name
             if name == path.name != ".." and path.is_file():
                 path.unlink()
@@ -608,8 +605,8 @@ def run_pipeline(config: PipelineConfig, out_dir,
 
     completed = []
     if manifest_path.exists():
-        previous = _read_json(manifest_path)
-        entries = previous.get("stages", [])
+        previous = _read_manifest(manifest_path)
+        entries = previous["stages"]
         if previous.get("config_digest") == digest:
             by_name = {e["name"]: e for e in entries}
             for name in STAGES:  # completed stages must form a prefix
@@ -686,7 +683,7 @@ def report(run_dir) -> Path:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise ArtifactError(f"{out}: no manifest.json; run the pipeline first")
-    stages = {e["name"]: e for e in _read_json(manifest_path).get("stages", [])}
+    stages = {e["name"]: e for e in _read_manifest(manifest_path)["stages"]}
     missing = [s for s in ("match", "tune", "tree", "validate") if s not in stages]
     if missing:
         raise ArtifactError(

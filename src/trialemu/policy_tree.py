@@ -364,12 +364,11 @@ def select_tree(candidates, rewards, covariates) -> PolicyTree:
     return ranked[0][4]
 
 
-def subgroup_report(tree: PolicyTree, matched, rewards, min_effect: float) -> dict:
+def subgroup_report(tree: PolicyTree, leaf_ids, treatments, min_effect: float) -> dict:
     """Per-leaf arm counts by received treatment, mean rewards, effect, and
-    an under-effect flag for treatment-recommending leaves."""
-    X = matched.covariate_matrix()
-    treatments = matched.treatments()
-    _, leaf_ids = assign(tree, X)
+    an under-effect flag for treatment-recommending leaves. ``leaf_ids``
+    are the patients' leaves as ``assign`` gives them, and ``treatments``
+    the arms they received; the mean rewards are the tree's own."""
     report = {}
     for leaf in tree.leaves():
         mask = leaf_ids == leaf.node_id

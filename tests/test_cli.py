@@ -9,7 +9,13 @@ from click.testing import CliRunner
 
 from trialemu import pipeline
 from trialemu.cli import main
-from trialemu.errors import ArtifactError
+from trialemu.errors import (
+    ArtifactError,
+    ConfigError,
+    TargetInfeasibleError,
+    TrialEmuError,
+    UnreachableTargetError,
+)
 
 from conftest import CONFIGS, mini_pipeline_doc
 
@@ -303,3 +309,50 @@ def test_seed_override_changes_run(mini_corpus, tmp_path):
     assert invoke("run", "--config", str(cfg), "--out", str(b),
                   "--until", "stratify", "--seed", "99").exit_code == 0
     assert (a / "risks.csv").read_text() != (b / "risks.csv").read_text()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# README's exit-code table: every error not named here is a data error (3)
+README_EXIT_CODES = {ConfigError: 2, TargetInfeasibleError: 4,
+                     UnreachableTargetError: 5}
+
+
+@pytest.mark.parametrize("error", list(_subclasses(TrialEmuError)),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_readme_code(tmp_path, monkeypatch, error):
+    def fail(*_args, **_kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(pipeline, "load_pipeline_config", fail)
+    cfg = write_yaml(tmp_path / "p.yaml", {})
+    result = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert result.exit_code == README_EXIT_CODES.get(error, 3)
+    assert "error: boom" in result.output
+
+
+# manifest.json contents, given the run's config digest
+MALFORMED_MANIFESTS = {
+    "empty": lambda digest: "",  # what a crash inside write_text leaves
+    "list": lambda digest: "[]",
+    "stage-without-artifacts": lambda digest: json.dumps(
+        {"config_digest": digest, "stages": [{"name": "filter"}]}),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS)
+def test_a_malformed_manifest_exits_3(mini_corpus, tmp_path, command, manifest):
+    cfg = write_yaml(tmp_path / "p.yaml", mini_pipeline_doc(mini_corpus))
+    digest = pipeline._config_digest(pipeline.load_pipeline_config(cfg))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(MALFORMED_MANIFESTS[manifest](digest))
+    options = ["--config", str(cfg)] if command == "run" else []
+    result = invoke(command, *options, "--out", str(run_dir))
+    assert result.exit_code == 3
+    assert "manifest.json" in result.output

@@ -180,6 +180,20 @@ class TestTuneWeight:
         assert reused.model0.to_json() == fresh.model0.to_json()
         assert reused.hbar0 == fresh.hbar0
 
+    def test_the_tuned_predictions_are_reused(self, monkeypatch):
+        matched = make_matched(n_per_arm=60, seed=3)
+        target = fit_counterfactuals(matched, HORIZON, CFG, rho0=3.0).hbar0
+        models = {}
+        rho = tune_weight(matched, 0, target, HORIZON, CFG, models=models)
+        predicted = []
+        real_predict = learner.predict_prob
+        monkeypatch.setattr(learner, "predict_prob", lambda model, X: (
+            predicted.append(model) or real_predict(model, X)))
+        pair = fit_counterfactuals(matched, HORIZON, CFG, rho0=rho, models=models)
+        matrix = reward_matrix(pair, matched, HORIZON)
+        assert len(predicted) == 1 and predicted[0] is pair.model1  # arm 1 only
+        np.testing.assert_array_equal(matrix.rewards, pair.rewards)
+
     def test_unreachable_target_reports_residual(self):
         matched = make_matched(n_per_arm=60, seed=3)
         with pytest.raises(UnreachableTargetError) as err:

@@ -1,12 +1,15 @@
 """Staged pipeline orchestration: manifests, resume, tamper, report."""
 
+import builtins
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from trialemu import pipeline
+from trialemu import learner, pipeline
 from trialemu.errors import (
     ArtifactError,
     ConfigError,
@@ -16,7 +19,7 @@ from trialemu.errors import (
 )
 from trialemu.policy_tree import PolicyTreeConfig
 
-from conftest import mini_pipeline_doc, read_csv_dicts
+from conftest import ROOT, mini_pipeline_doc, read_csv_dicts
 
 
 def write_config(tmp_path, doc):
@@ -100,6 +103,76 @@ def test_each_input_is_parsed_once_per_call(mini_corpus, tmp_path, monkeypatch):
     pipeline.run_pipeline(cfg, tmp_path / "run")
     # the input cohort and eligible.csv; the trial file once
     assert calls == {"load_cohort": 2, "load_trial_config": 1}
+
+
+# README's "reads" column: the files each stage function opens for reading,
+# besides the hash checks; "cohort" and "trial" are the config's input files
+README_READS = {
+    "filter": {"cohort", "trial"},
+    "stratify": {"eligible.csv", "trial"},
+    "match": {"eligible.csv", "risks.csv", "stratify.json", "trial"},
+    "tune": {"eligible.csv", "matches.csv", "trial"},
+    "constrain": {"rewards.csv", "trial"},
+    "tree": {"eligible.csv", "matches.csv", "rewards_constrained.csv", "trial"},
+    "validate": {"eligible.csv", "matches.csv", "tree.json"},
+}
+
+
+def _readme_reads() -> dict:
+    """The backquoted names in each stage's "reads" cell of README's table."""
+    reads = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) > 2 and cells[1] in pipeline.STAGES:
+            reads[cells[1]] = set(re.findall(r"`([^`]+)`", cells[2]))
+    return reads
+
+
+def test_each_stage_reads_what_readme_lists(mini_corpus, tmp_path, monkeypatch):
+    cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
+    run = tmp_path / "run"
+    inputs = {Path(cfg.cohort): "cohort", Path(cfg.trial): "trial"}
+    reads = {}
+    running = []  # the stage whose function is on the stack
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if running and isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
+            path = Path(file)
+            reads.setdefault(running[-1], set()).add(
+                inputs.get(path) or (path.name if path.parent == run else str(path)))
+        return real_open(file, mode, *args, **kwargs)
+
+    def recorded(name, stage):
+        def call(r):
+            running.append(name)
+            try:
+                stage(r)
+            finally:
+                running.pop()
+        return call
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for name, stage in list(pipeline._STAGE_FUNCS.items()):
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, name, recorded(name, stage))
+    for name in pipeline.STAGES:  # a new call per stage: nothing is cached
+        pipeline.run_pipeline(cfg, run, until=name)
+    assert reads == README_READS
+    assert _readme_reads() == README_READS
+
+
+def test_the_tune_stage_predicts_each_model_once(mini_corpus, tmp_path,
+                                                 monkeypatch):
+    cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run, until="match")
+    calls = []
+    real_predict = learner.predict_prob
+    monkeypatch.setattr(learner, "predict_prob",
+                        lambda *args: calls.append(1) or real_predict(*args))
+    pipeline.run_pipeline(cfg, run, until="tune")
+    assert len(calls) == 2  # tune.arms is []: one untuned model per arm
 
 
 def test_until_stops_after_stage(mini_corpus, tmp_path):

@@ -222,7 +222,8 @@ def test_subgroup_report_flags_weak_treatment_leaves():
     # only 0.02, below the 0.05 effect floor -> flagged
     R = np.where(X[:, :1] == 1.0, [[0.40, 0.42]], [[0.70, 0.30]])
     tree = fit_policy_tree(X, R, CFG1)
-    report = subgroup_report(tree, matched, R, min_effect=0.05)
+    report = subgroup_report(tree, assign(tree, X)[1], matched.treatments(),
+                             min_effect=0.05)
     by_effect = {round(v["effect"], 2): v for v in report.values()}
     assert by_effect[-0.40]["flagged"] is False
     assert by_effect[-0.40]["recommended_treatment"] == 0
