@@ -93,7 +93,10 @@ def constant_model(value: float, n_features: int, config: LearnerConfig) -> Fitt
 
 def split_scan(x, columns, min_leaf):
     """Prefix sums of each column along sorted values, and the valid cuts:
-    adjacent sorted values differ and each side holds at least min_leaf rows.
+    the midpoint of the two adjacent sorted values lies above the lower one,
+    so "value < midpoint" splits them as scanned, and each side holds at
+    least min_leaf rows. (The midpoint of two adjacent doubles can round
+    down onto the lower value.)
 
     x is a k x m block whose rows are each sorted ascending, one feature's
     values per row, and each column is a k x m array in the same order.
@@ -110,9 +113,10 @@ def split_scan(x, columns, min_leaf):
     # cut i puts sorted rows 0..i left, so both sides hold min_leaf rows
     # exactly when lo <= i < hi
     lo, hi = min_leaf - 1, max(m - min_leaf, min_leaf - 1)
+    mid = (x[:, :-1] + x[:, 1:]) / 2.0
     valid = np.zeros((x.shape[0], m - 1), dtype=bool)
-    valid[:, lo:hi] = x[:, lo + 1:hi + 1] != x[:, lo:hi]
-    thresholds = np.where(valid, (x[:, :-1] + x[:, 1:]) / 2.0, np.nan)
+    valid[:, lo:hi] = x[:, lo:hi] < mid[:, lo:hi]
+    thresholds = np.where(valid, mid, np.nan)
     sums = [np.cumsum(c, axis=1) for c in columns]
     left, totals = [s[:, :-1] for s in sums], [s[:, -1] for s in sums]
     if one:
@@ -121,11 +125,26 @@ def split_scan(x, columns, min_leaf):
     return left, totals, thresholds
 
 
+def presort(X):
+    """(X.T made contiguous, the (L + 1) x n index matrix of X's rows): row
+    f < L of the matrix sorts the rows stably by feature f; the last row
+    lists them in row order."""
+    XT = np.ascontiguousarray(X.T)
+    return XT, np.vstack([np.argsort(XT, axis=1, kind="stable"), np.arange(XT.shape[1])])
+
+
+def partition(XT, order, f, thr):
+    """The (left, right) index matrices of the cut XT[f] < thr; each row
+    keeps its order, so a child's rows arrive sorted. A side may be empty."""
+    goes_left = XT[f][order] < thr
+    n_left = int(np.count_nonzero(goes_left[-1]))
+    return (order[goes_left].reshape(len(order), n_left),
+            order[~goes_left].reshape(len(order), order.shape[1] - n_left))
+
+
 class _Node:
-    """The rows reaching one node, as an (L + 1) x m matrix of indices into
-    the tree's rows: row f < L lists them in the stable sort order of
-    feature f, the last row in row order. A split partitions every row of
-    the matrix stably, so each child's rows arrive sorted. A ``shared``
+    """The rows reaching one node, as an (L + 1) x m index matrix into the
+    tree's rows (see ``presort``); a split ``partition``s it. A ``shared``
     node (see the module docstring) scans all features at once."""
 
     def __init__(self, data, order, shared):
@@ -174,19 +193,16 @@ class _Node:
     def split(self, f, thr):
         """The (left, right) children of the cut x[f] < thr."""
         if (f, thr) not in self.children:
-            goes_left = self.data[0][f][self.order] < thr
-            n_left = int(np.count_nonzero(goes_left[-1]))
             self.children[f, thr] = tuple(
-                _Node(self.data, self.order[side].reshape(-1, size), self.shared)
-                for side, size in ((goes_left, n_left), (~goes_left, self.n - n_left)))
+                _Node(self.data, side, self.shared)
+                for side in partition(self.data[0], self.order, f, thr))
         return self.children[f, thr]
 
 
 def _root(X, y, w, shared):
     """The root node of a tree trained on rows (X, y, w): each feature is
     sorted once here, and never again below."""
-    XT = np.ascontiguousarray(X.T)
-    order = np.vstack([np.argsort(XT, axis=1, kind="stable"), np.arange(y.size)])
+    XT, order = presort(X)
     return _Node((XT, w, w * y), order, shared)
 
 

@@ -1,12 +1,13 @@
 """Axis-aligned policy trees over a two-arm reward matrix.
 
 Leaves each recommend one treatment; the tree is grown greedily, with a
-lookahead over the 16 best-ranked splits of each node, to maximize the
-mean reward of its assignments. Two coordinate passes of local search
-then re-choose each internal node's (feature, threshold). Both score
-their cuts with ``learner.split_scan``. The fit is deterministic; there is
-no seed. Routing is "value < threshold goes left"; boundary values go
-right. Node ids are breadth-first from 1.
+lookahead over the LOOKAHEAD_WIDTH best-ranked splits of each node (only
+cuts that can rank there are ranked), to maximize the mean reward of its
+assignments. Two coordinate passes of local search then re-choose each
+internal node's (feature, threshold). Both scan cuts with ``split_scan``
+over one ``learner.presort`` per fit, partitioned stably at each split.
+The fit is deterministic; there is no seed. Routing is "value < threshold
+goes left"; boundary values go right. Node ids are breadth-first from 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidRewardsError, SchemaError
-from .learner import split_scan
+from .learner import partition, presort, split_scan
 
 V_IMPROVEMENT_EPS = 1e-12
 LOOKAHEAD_WIDTH = 16  # top-ranked candidate splits grown per node
@@ -166,45 +167,43 @@ def _subtree_value(node, X, R, rows) -> float:
                             for leaf, idx in _walk(node, X, rows) if leaf.is_leaf})
 
 
-def _scan_features(X, columns, min_leaf):
-    """``split_scan`` of every feature of X (rows x features) at once: each
-    feature's rows are sorted stably and each column is taken in that order."""
-    order = np.argsort(X.T, axis=1, kind="stable")
-    return split_scan(np.take_along_axis(X.T, order, axis=1),
-                      [c[order] for c in columns], min_leaf)
-
-
-def _candidate_splits(idx, X, R, min_leaf):
-    """All valid (feature, threshold) splits of this subset, as the arrays
-    (summed best-arm child rewards, feature, threshold), ranked by that sum
-    descending; ties rank the lowest feature, then the lowest threshold,
-    first."""
-    (c0, c1), (t0, t1), thr = _scan_features(X[idx], [R[idx, 0], R[idx, 1]], min_leaf)
+def _candidate_splits(order, XT, R, min_leaf):
+    """The valid (feature, threshold) splits of the node with index matrix
+    ``order`` whose summed best-arm child rewards reach the
+    LOOKAHEAD_WIDTH-th largest, ties included, as the arrays (sum, feature,
+    threshold) ranked by sum descending, then lowest feature and threshold."""
+    rows = order[:-1]
+    (c0, c1), (t0, t1), thr = split_scan(
+        np.take_along_axis(XT, rows, axis=1), [R[rows, 0], R[rows, 1]], min_leaf)
     valid = ~np.isnan(thr)
     total = (np.maximum(c0, c1) + np.maximum(t0[:, None] - c0, t1[:, None] - c1))[valid]
     feature, threshold = np.nonzero(valid)[0], thr[valid]
+    if total.size > LOOKAHEAD_WIDTH:
+        top = total >= np.partition(total, -LOOKAHEAD_WIDTH)[-LOOKAHEAD_WIDTH]
+        total, feature, threshold = total[top], feature[top], threshold[top]
     rank = np.lexsort((threshold, feature, -total))
     return total[rank], feature[rank], threshold[rank]
 
 
-def _grow(idx, X, R, cfg, n_total, depth):
+def _grow(order, XT, R, cfg, n_total, depth):
     """Greedy partitioning with bounded lookahead: the top-ranked
     candidate splits (by summed best-arm child rewards) are each grown
     recursively and the one with the best final subtree value is kept;
     subtrees whose total gain stays below the improvement epsilon
     collapse back to a leaf. Returns (node, subtree value sum); leaf
     statistics are set later by ``_refresh_stats``."""
-    leaf_sum = _leaf_value_sum(idx, R)
-    if depth >= cfg.max_depth or idx.size < 2 * cfg.min_leaf:
+    leaf_sum = _leaf_value_sum(order[-1], R)
+    if depth >= cfg.max_depth or order.shape[1] < 2 * cfg.min_leaf:
         return Node(), leaf_sum
-    _total, features, thresholds = _candidate_splits(idx, X, R, cfg.min_leaf)
+    _total, features, thresholds = _candidate_splits(order, XT, R, cfg.min_leaf)
+    rows = order if depth + 1 < cfg.max_depth else order[-1:]  # leaves: row list only
     best_node = None
     best_sum = -np.inf
     for f, thr in zip(features[:LOOKAHEAD_WIDTH].tolist(),
                       thresholds[:LOOKAHEAD_WIDTH].tolist()):
-        mask = X[idx, f] < thr
-        left, lsum = _grow(idx[mask], X, R, cfg, n_total, depth + 1)
-        right, rsum = _grow(idx[~mask], X, R, cfg, n_total, depth + 1)
+        left_rows, right_rows = partition(XT, rows, f, thr)
+        left, lsum = _grow(left_rows, XT, R, cfg, n_total, depth + 1)
+        right, rsum = _grow(right_rows, XT, R, cfg, n_total, depth + 1)
         if lsum + rsum > best_sum:
             best_sum = lsum + rsum
             best_node = Node(feature=f, threshold=thr, left=left, right=right)
@@ -213,23 +212,24 @@ def _grow(idx, X, R, cfg, n_total, depth):
     return best_node, best_sum
 
 
-def _cut_scores(node, X, R, reach, min_leaf):
+def _cut_scores(node, X, R, order, reach, min_leaf):
     """For each feature, (value sum, smallest leaf count, threshold) of every
     cut of the node that leaves min_leaf rows a side, with both subtrees
-    held fixed, over the rows reaching the node. The rows are routed through
-    each subtree once; a leaf of the left subtree then holds the prefix sums
-    of its one-hot reward and count columns, a leaf of the right subtree
-    the totals minus them."""
-    Xr, Rr = X[reach], R[reach]
+    held fixed, over the rows ``reach`` reaching the node, taken in the fit's
+    presorted ``order``. The rows are routed through each subtree once; a
+    leaf of the left subtree then holds the prefix sums of its one-hot reward
+    and count columns, a leaf of the right subtree the totals minus them."""
+    rows = order[:-1][np.isin(order[:-1], reach)].reshape(-1, reach.size)
     leaves, columns = [], []
     for right, sub in enumerate((node.left, node.right)):
-        for leaf, pos in _walk(sub, Xr, np.arange(reach.size)):
+        for leaf, idx in _walk(sub, X, reach):
             if leaf.is_leaf:
-                one_hot = np.zeros(reach.size)
-                one_hot[pos] = 1.0
+                one_hot = np.zeros(X.shape[0])
+                one_hot[idx] = 1.0
                 leaves.append((leaf, right))
-                columns += [Rr[:, 0] * one_hot, Rr[:, 1] * one_hot, one_hot]
-    left_sums, totals, thresholds = _scan_features(Xr, columns, min_leaf)
+                columns += [R[:, 0] * one_hot, R[:, 1] * one_hot, one_hot]
+    left_sums, totals, thresholds = split_scan(
+        np.take_along_axis(X.T, rows, axis=1), [c[rows] for c in columns], min_leaf)
     values, counts = {}, []
     for k, (leaf, right) in enumerate(leaves):
         s0, s1, n = left_sums[3 * k:3 * k + 3]
@@ -242,7 +242,7 @@ def _cut_scores(node, X, R, reach, min_leaf):
         yield v[keep], c[keep], thr[keep]
 
 
-def _local_search(root: Node, X, R, min_leaf) -> None:
+def _local_search(root: Node, X, R, order, min_leaf) -> None:
     """Coordinate passes over the internal nodes, breadth-first,
     re-choosing each node's (feature, threshold) with the rest of the tree
     held fixed. Only the node's own subtree value can change, so the cuts
@@ -257,7 +257,7 @@ def _local_search(root: Node, X, R, min_leaf) -> None:
                 continue
             best_v, best = _subtree_value(node, X, R, reach), None
             for f, (values, counts, thresholds) in enumerate(
-                    _cut_scores(node, X, R, reach, min_leaf)):
+                    _cut_scores(node, X, R, order, reach, min_leaf)):
                 # best_v only rises, so only cuts above it now can be taken
                 for i in np.nonzero((counts >= min_leaf) & (values > best_v + tol))[0]:
                     if values[i] > best_v + tol:
@@ -301,14 +301,15 @@ def fit_policy_tree(covariates, rewards, config: PolicyTreeConfig) -> PolicyTree
     R = np.asarray(getattr(rewards, "rewards", rewards), dtype=float)
     if X.ndim != 2 or R.ndim != 2 or R.shape != (X.shape[0], 2):
         raise SchemaError("covariates n x L and rewards n x 2 must align")
-    if np.any((R < 0) | (R > 1)):
+    if not np.all((R >= 0) & (R <= 1)):  # NaN too
         raise InvalidRewardsError("reward entries must lie in [0, 1]")
     n = X.shape[0]
     if n == 0:
         raise SchemaError("empty training data")
 
-    root, _ = _grow(np.arange(n), X, R, config, n, 0)
-    _local_search(root, X, R, config.min_leaf)
+    XT, order = presort(X)
+    root, _ = _grow(order, XT, R, config, n, 0)
+    _local_search(root, X, R, order, config.min_leaf)
 
     tree = PolicyTree(root=root, config=config, n_features=X.shape[1])
     _refresh_stats(root, X, R)

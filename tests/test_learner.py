@@ -180,6 +180,22 @@ def test_split_scan_keeps_exactly_the_valid_cuts():
             assert total == n
 
 
+def test_adjacent_doubles_are_not_a_cut():
+    # their midpoint rounds down onto the lower value, so "x < midpoint"
+    # would send both values right; the learner split such a node into an
+    # empty child and raised ValueError
+    a = 1.0
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == a
+    _, _, thresholds = split_scan(np.array([a, a, b, b, 3.0, 3.0]), [np.ones(6)], 1)
+    assert thresholds.tolist() == [(b + 3.0) / 2.0]
+    cfg = LearnerConfig(n_trees=1, max_depth=2, min_leaf=1, feature_subsample=1.0,
+                        bootstrap=False)
+    model = fit(np.array([[a]] * 3 + [[b]] * 3), np.array([0, 0, 0, 1, 1, 1.0]),
+                np.ones(6), cfg)
+    assert model.trees == ({"value": 0.5},)
+
+
 # The per-tree growth that shared node scans replaced, kept as an oracle:
 # every tree re-scans every drawn feature at every node.
 def _oracle_best_split(x_node, y_node, w_node, feats, min_leaf):

@@ -1,11 +1,17 @@
 """Policy tree fitting, assignment, concordance, selection, reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from trialemu import policy_tree
 from trialemu.cohort import Cohort, CovariateSchema
 from trialemu.errors import ConfigError, InvalidRewardsError, SchemaError
+from trialemu.learner import presort, split_scan
 from trialemu.policy_tree import (
+    LOOKAHEAD_WIDTH,
+    V_IMPROVEMENT_EPS,
     Node,
     PolicyTree,
     PolicyTreeConfig,
@@ -34,7 +40,7 @@ def test_candidate_splits_rank_ties_by_feature_then_threshold():
     # outer splits 3, so only the tie rule orders each group
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     R = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    total, feature, threshold = _candidate_splits(np.arange(4), X, R, min_leaf=1)
+    total, feature, threshold = _candidate_splits(presort(X)[1], X.T, R, min_leaf=1)
     assert list(zip(total.tolist(), feature.tolist(), threshold.tolist())) == [
         (4.0, 0, 1.5), (4.0, 1, 1.5),
         (3.0, 0, 0.5), (3.0, 0, 2.5), (3.0, 1, 0.5), (3.0, 1, 2.5)]
@@ -81,7 +87,7 @@ def test_cut_scores_equal_naive_route_and_sum(seed, depth, min_leaf, decimals):
             continue
         split = node.feature, node.threshold
         for f, (values, counts, thresholds) in enumerate(
-                _cut_scores(node, X, R, reach, min_leaf)):
+                _cut_scores(node, X, R, presort(X)[1], reach, min_leaf)):
             xs = np.unique(X[reach, f])
             want = []
             for thr in (xs[:-1] + xs[1:]) / 2.0:
@@ -95,6 +101,138 @@ def test_cut_scores_equal_naive_route_and_sum(seed, depth, min_leaf, decimals):
             assert counts.astype(int).tolist() == [w[2] for w in want]
             checked += len(want)
     assert checked > 100
+
+
+# --- reference grower: sorts at every node and ranks every cut -------------
+
+def _ref_candidate_splits(idx, X, R, min_leaf):
+    Xs = X[idx].T
+    order = np.argsort(Xs, axis=1, kind="stable")
+    (c0, c1), (t0, t1), thr = split_scan(
+        np.take_along_axis(Xs, order, axis=1), [R[idx, 0][order], R[idx, 1][order]],
+        min_leaf)
+    valid = ~np.isnan(thr)
+    total = (np.maximum(c0, c1) + np.maximum(t0[:, None] - c0, t1[:, None] - c1))[valid]
+    feature, threshold = np.nonzero(valid)[0], thr[valid]
+    rank = np.lexsort((threshold, feature, -total))
+    return total[rank], feature[rank], threshold[rank]
+
+
+def _ref_grow(idx, X, R, cfg, n_total, depth):
+    leaf_sum = max(float(R[idx, 0].sum()), float(R[idx, 1].sum()))
+    if depth >= cfg.max_depth or idx.size < 2 * cfg.min_leaf:
+        return Node(), leaf_sum
+    _total, features, thresholds = _ref_candidate_splits(idx, X, R, cfg.min_leaf)
+    best_node, best_sum = None, -np.inf
+    for f, thr in zip(features[:LOOKAHEAD_WIDTH].tolist(),
+                      thresholds[:LOOKAHEAD_WIDTH].tolist()):
+        mask = X[idx, f] < thr
+        left, lsum = _ref_grow(idx[mask], X, R, cfg, n_total, depth + 1)
+        right, rsum = _ref_grow(idx[~mask], X, R, cfg, n_total, depth + 1)
+        if lsum + rsum > best_sum:
+            best_sum = lsum + rsum
+            best_node = Node(feature=f, threshold=thr, left=left, right=right)
+    if best_sum - leaf_sum < V_IMPROVEMENT_EPS * n_total:
+        return Node(), leaf_sum
+    return best_node, best_sum
+
+
+def _ref_cut_scores(node, X, R, reach, min_leaf):
+    Xr, Rr = X[reach], R[reach]
+    leaves, columns = [], []
+    for right, sub in enumerate((node.left, node.right)):
+        for leaf, pos in _walk(sub, Xr, np.arange(reach.size)):
+            if leaf.is_leaf:
+                one_hot = np.zeros(reach.size)
+                one_hot[pos] = 1.0
+                leaves.append((leaf, right))
+                columns += [Rr[:, 0] * one_hot, Rr[:, 1] * one_hot, one_hot]
+    order = np.argsort(Xr.T, axis=1, kind="stable")
+    left_sums, totals, thresholds = split_scan(
+        np.take_along_axis(Xr.T, order, axis=1), [c[order] for c in columns], min_leaf)
+    values, counts = {}, []
+    for k, (leaf, right) in enumerate(leaves):
+        s0, s1, n = left_sums[3 * k:3 * k + 3]
+        if right:
+            s0, s1, n = (t[:, None] - s for t, s in zip(totals[3 * k:3 * k + 3], (s0, s1, n)))
+        values[id(leaf)] = np.maximum(s0, s1)
+        counts.append(n)
+    values, counts = policy_tree._tree_sum(node, values), np.min(counts, axis=0)
+    for keep, v, c, thr in zip(~np.isnan(thresholds), values, counts, thresholds):
+        yield v[keep], c[keep], thr[keep]
+
+
+def _reference_fit(X, R, cfg, monkeypatch):
+    """fit_policy_tree with the reference grower and local-search scores."""
+    with monkeypatch.context() as m:
+        m.setattr(policy_tree, "_grow", lambda order, XT, R, cfg, n, depth:
+                  _ref_grow(np.arange(n), X, R, cfg, n, depth))
+        m.setattr(policy_tree, "_cut_scores", lambda node, X, R, order, reach, min_leaf:
+                  _ref_cut_scores(node, X, R, reach, min_leaf))
+        return fit_policy_tree(X, R, cfg).to_json()
+
+
+def _mixed_problem(seed, n):
+    """Integer, binary and continuous features; rewards rounded to 0.1, so
+    arm sums and cut totals tie exactly."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(0, 8, n), rng.integers(0, 2, n),
+                         rng.normal(size=n), np.round(rng.uniform(size=n), 1)])
+    R = np.round(rng.uniform(size=(n, 2)), 1)
+    return X, R
+
+
+@pytest.mark.parametrize("seed, n, max_depth, min_leaf", [
+    (0, 150, 1, 1), (1, 200, 2, 1), (2, 300, 3, 1), (3, 450, 2, 5),
+    (4, 600, 3, 5), (5, 150, 3, 20), (6, 600, 1, 20), (7, 400, 3, 20),
+    (8, 250, 2, 5)])
+def test_fit_equals_the_sorting_reference(seed, n, max_depth, min_leaf, monkeypatch):
+    X, R = _mixed_problem(seed, n)
+    cfg = PolicyTreeConfig(max_depth=max_depth, min_leaf=min_leaf)
+    assert fit_policy_tree(X, R, cfg).to_json() == _reference_fit(X, R, cfg, monkeypatch)
+
+
+def test_top_cuts_keep_every_tie_in_feature_then_threshold_order(monkeypatch):
+    # 20 copies of one column: each copy's best cut ties with the others',
+    # so more than LOOKAHEAD_WIDTH cuts share the width-th best total
+    rng = np.random.default_rng(11)
+    n = 300
+    X = np.repeat(rng.integers(0, 10, n)[:, None].astype(float), 20, axis=1)
+    R = np.round(rng.uniform(size=(n, 2)), 1)
+    want = _ref_candidate_splits(np.arange(n), X, R, 5)
+    assert np.count_nonzero(want[0] == want[0][LOOKAHEAD_WIDTH - 1]) > LOOKAHEAD_WIDTH
+    XT, order = presort(X)
+    got = _candidate_splits(order, XT, R, 5)
+    for g, w in zip(got, want):
+        assert g[:LOOKAHEAD_WIDTH].tolist() == w[:LOOKAHEAD_WIDTH].tolist()
+    for cfg in (PolicyTreeConfig(max_depth=2, min_leaf=5),
+                PolicyTreeConfig(max_depth=3, min_leaf=20)):
+        assert fit_policy_tree(X, R, cfg).to_json() == _reference_fit(X, R, cfg, monkeypatch)
+
+
+def test_an_overflowing_midpoint_leaves_an_empty_child(monkeypatch):
+    # (1e308 + 1.5e308) / 2 is inf, so the cut "x < inf" sends every row left
+    X = np.array([[1e308]] * 3 + [[1.5e308]] * 3)
+    R = np.array([[0.9, 0.1]] * 3 + [[0.1, 0.9]] * 3)
+    with np.errstate(over="ignore"):
+        assert fit_policy_tree(X, R, CFG1).to_json() == _reference_fit(X, R, CFG1, monkeypatch)
+
+
+def test_fit_memory_does_not_grow_with_the_nodes_visited():
+    # a depth-3 fit visits thousands of nodes; a cache keyed by node would
+    # hold tens of MB here, the presorted matrices well under one
+    rng = np.random.default_rng(5)
+    n = 3500
+    X = np.column_stack([rng.integers(0, 8, n), rng.integers(0, 2, n),
+                         rng.normal(size=(n, 4))])
+    R = rng.uniform(size=(n, 2))
+    tracemalloc.start()
+    try:
+        fit_policy_tree(X, R, PolicyTreeConfig(max_depth=3, min_leaf=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_uniform_rewards_give_root_only_tree():
@@ -146,6 +284,8 @@ def test_invalid_rewards_and_shapes():
     X = np.zeros((3, 1))
     with pytest.raises(InvalidRewardsError):
         fit_policy_tree(X, [[0.5, 1.5]] * 3, CFG1)
+    with pytest.raises(InvalidRewardsError):
+        fit_policy_tree(X, [[0.5, np.nan]] * 3, CFG1)
     with pytest.raises(SchemaError):
         fit_policy_tree(X, [[0.5, 0.5]] * 2, CFG1)
     with pytest.raises(SchemaError):
