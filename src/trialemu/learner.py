@@ -96,7 +96,8 @@ def split_scan(x, columns, min_leaf):
     the midpoint of the two adjacent sorted values lies above the lower one,
     so "value < midpoint" splits them as scanned, and each side holds at
     least min_leaf rows. (The midpoint of two adjacent doubles can round
-    down onto the lower value.)
+    down onto the lower value, and overflow to inf near the largest double;
+    it is clamped to the upper value, which still splits them as scanned.)
 
     x is a k x m block whose rows are each sorted ascending, one feature's
     values per row, and each column is a k x m array in the same order.
@@ -113,7 +114,7 @@ def split_scan(x, columns, min_leaf):
     # cut i puts sorted rows 0..i left, so both sides hold min_leaf rows
     # exactly when lo <= i < hi
     lo, hi = min_leaf - 1, max(m - min_leaf, min_leaf - 1)
-    mid = (x[:, :-1] + x[:, 1:]) / 2.0
+    mid = np.minimum((x[:, :-1] + x[:, 1:]) / 2.0, x[:, 1:])
     valid = np.zeros((x.shape[0], m - 1), dtype=bool)
     valid[:, lo:hi] = x[:, lo:hi] < mid[:, lo:hi]
     thresholds = np.where(valid, mid, np.nan)

@@ -138,7 +138,7 @@ class PolicyTree:
 
 
 def _leaf_value_sum(idx, R) -> float:
-    return max(float(R[idx, 0].sum()), float(R[idx, 1].sum()))
+    return max(float(R[:, 0][idx].sum()), float(R[:, 1][idx].sum()))
 
 
 def _walk(node, X, rows):
@@ -174,7 +174,7 @@ def _candidate_splits(order, XT, R, min_leaf):
     threshold) ranked by sum descending, then lowest feature and threshold."""
     rows = order[:-1]
     (c0, c1), (t0, t1), thr = split_scan(
-        np.take_along_axis(XT, rows, axis=1), [R[rows, 0], R[rows, 1]], min_leaf)
+        np.take_along_axis(XT, rows, axis=1), [R[:, 0][rows], R[:, 1][rows]], min_leaf)
     valid = ~np.isnan(thr)
     total = (np.maximum(c0, c1) + np.maximum(t0[:, None] - c0, t1[:, None] - c1))[valid]
     feature, threshold = np.nonzero(valid)[0], thr[valid]

@@ -7,10 +7,13 @@ close in covariate space. Exact solving is one mixed-integer program over
 the same-bucket pairs, solved by HiGHS through ``scipy.optimize.milp``;
 heuristic solving uses greedy construction plus local search. Pairs never
 cross buckets, so the heuristic computes pair distances once per solve as
-one treated-by-untreated block per bucket, and its local search scores
-all candidate swaps for one selected patient in one vectorized expression.
-The heuristic's state is indexed by side (0 treated, 1 untreated), so each
-move is written once and serves both arms.
+one treated-by-untreated block per bucket. The greedy fill takes the pairs
+that a walk over a block in ascending distance order would take, found in
+rounds of mutually best pairs instead of by sorting the block. The local
+search scores every candidate swap of up to SWAP_CHUNK selected patients
+in one vectorized expression. The heuristic's state is indexed by side
+(0 treated, 1 untreated), so each move is written once and serves both
+arms.
 """
 
 from __future__ import annotations
@@ -406,6 +409,45 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
 
 # --- heuristic: greedy construction + local search --------------------------
 
+SWAP_CHUNK = 64  # selected patients whose swaps one swap_objectives call scores
+
+
+def _greedy_pairs(block, q):
+    """(rows, columns) of the first q pairs that a greedy walk over block's
+    entries in ascending (distance, flat index) order takes, a pair being
+    taken when its row and column are both free; in walk order.
+
+    Under that strict order, a free pair that is the smallest entry of both
+    its row and its column among free patients (a "locally dominant" pair;
+    Preis 1999, Hoepman 2004) is taken by the walk, so the walk's matching
+    is built in rounds: each free row keeps its best free column (ties to
+    the lowest column) and each free column its best free row (ties to the
+    lowest row); every row and column that pick each other are taken, and
+    only the rows and columns whose best partner was just taken look for a
+    new one. The walk meets the taken pairs in (distance, flat) order."""
+    n1, n0 = block.shape
+    free_r, free_c = np.ones(n1, bool), np.ones(n0, bool)
+    best_c, best_r = block.argmin(axis=1), block.argmin(axis=0)
+    fr, rows, cols = np.arange(n1), [], []
+    while True:
+        r = fr[best_r[best_c[fr]] == fr]
+        c = best_c[r]
+        rows.append(r)
+        cols.append(c)
+        free_r[r] = False
+        free_c[c] = False
+        fr, fc = np.flatnonzero(free_r), np.flatnonzero(free_c)
+        if not (fr.size and fc.size):
+            break
+        stale_r = fr[~free_c[best_c[fr]]]
+        stale_c = fc[~free_r[best_r[fc]]]
+        best_c[stale_r] = fc[block[np.ix_(stale_r, fc)].argmin(axis=1)]
+        best_r[stale_c] = fr[block[np.ix_(fr, stale_c)].argmin(axis=0)]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((rows * n0 + cols, block[rows, cols]))[:q]
+    return rows[order], cols[order]
+
+
 class _HeurState:
     """Selection state of one heuristic restart, indexed by side s: 0 for
     treated, 1 for untreated, so each move is written once, for side s and
@@ -420,9 +462,11 @@ class _HeurState:
     holds each patient's risk and targeted covariates, and ``sums[s]``
     their running sums over the selection; with the running pair-distance
     sum they give a swap's objective without a full re-evaluation.
-    ``swap_objectives`` scores every candidate for one selected patient in
-    one numpy expression. Blocks are read only by ``_distances``, ``fill``
-    and ``repair_bucket``.
+    ``swap_objectives`` scores every candidate for one selected patient, or
+    for a chunk of them, one row each, in one numpy expression. ``fill``
+    adds the greedy pairs in the order a walk by ascending distance meets
+    them, so the running sums are added in that order. Blocks are read only
+    by ``_distances``, ``swap_objectives``, ``fill`` and ``repair_bucket``.
     """
 
     def __init__(self, problem: MatchProblem, pools, quotas, blocks):
@@ -464,9 +508,10 @@ class _HeurState:
         self.dist_sum += float(self._distances(0, ci)[self.pos[0][ti]])
 
     def fill(self, rng) -> None:
-        """Select each bucket's quota of pairs: without rng, greedily by
-        ascending distance, ties to the lowest flat block index; with rng,
-        a random draw from each side."""
+        """Select each bucket's quota of pairs: without rng, the pairs a
+        greedy walk over the block in ascending (distance, flat index)
+        order would take, found in rounds by ``_greedy_pairs`` and added
+        in walk order; with rng, a random draw from each side."""
         for k, q in enumerate(self.quotas):
             if q == 0:
                 continue
@@ -475,23 +520,17 @@ class _HeurState:
                 pairs = zip(rng.choice(tk, size=q, replace=False).tolist(),
                             rng.choice(ck, size=q, replace=False).tolist())
             else:
-                block = self.blocks[0][k]
-                used_t, used_c, pairs = set(), set(), []
-                for f in np.argsort(block, axis=None, kind="stable").tolist():
-                    a, b = divmod(f, block.shape[1])
-                    if a in used_t or b in used_c:
-                        continue
-                    used_t.add(a)
-                    used_c.add(b)
-                    pairs.append((int(tk[a]), int(ck[b])))
-                    if len(pairs) == q:
-                        break
+                rows, cols = _greedy_pairs(self.blocks[0][k], q)
+                pairs = zip(tk[rows].tolist(), ck[cols].tolist())
             for ti, ci in pairs:
                 self._add_pair(ti, ci)
 
     def _objective_from_sums(self, sums, dist_sum):
-        """Scalar sums give one objective; a 2-D side gives one per row,
-        each bitwise equal to the scalar evaluation of that row's sums."""
+        """Scalar sums give one objective. A side's sums of shape (..., m),
+        with dist_sum of shape (...), give one objective per entry: a 2-D
+        side one per candidate, a 3-D side one per (selected patient,
+        candidate). Every entry is bitwise equal to the scalar evaluation
+        of its own sums, since each step is elementwise."""
         dev = [abs(self.targets[s] - sums[s] / self.n_sel) for s in (0, 1)]
         ct, cc = (sum((d[..., i] for i in range(1, d.shape[-1])), 0.0) for d in dev)
         return _objective_from_terms(self.p, dev[0][..., 0], dev[1][..., 0],
@@ -505,14 +544,21 @@ class _HeurState:
         members = [t for t in self.sel[0] if self.bucket[0][t] == k]
         return [self.partner[0][t] for t in members] if s else members
 
-    def swap_objectives(self, s: int, old: int, news: np.ndarray) -> np.ndarray:
+    def swap_objectives(self, s: int, old, news: np.ndarray) -> np.ndarray:
         """Objective after swapping selected side-s patient old for each
-        unselected patient in news; each swapped sum is (sum + new) - old."""
+        unselected patient in news; each swapped sum is (sum + new) - old,
+        and the pair-distance sum (dist_sum + d_new) - d_old. An array old,
+        all of one bucket, gives one row of objectives per patient, each
+        entry bitwise equal to the one its own call gives."""
+        olds = np.atleast_1d(old)
         sums = list(self.sums)
-        sums[s] = (sums[s] + self.values[s][news]) - self.values[s][old]
-        d = self._distances(s, self.partner[s][old])
-        dist = (self.dist_sum + d[self.pos[s][news]]) - d[self.pos[s][old]]
-        return self._objective_from_sums(sums, dist)
+        sums[s] = (sums[s] + self.values[s][news]) - self.values[s][olds][:, None]
+        j = self.pos[1 - s][[self.partner[s][i] for i in olds.tolist()]]
+        d = self.blocks[1 - s][self.bucket[s][olds[0]]][j]
+        dist = ((self.dist_sum + d[:, self.pos[s][news]])
+                - d[np.arange(olds.size), self.pos[s][olds]][:, None])
+        out = self._objective_from_sums(sums, dist)
+        return out if np.ndim(old) else out[0]
 
     def apply_swap(self, s: int, old: int, new: int) -> None:
         j = self.partner[s].pop(old)
@@ -568,7 +614,9 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
     until a sweep finds no improvement or move_budget evaluations are
     spent. Each selected patient takes the best improving swap, where a
     candidate replaces the running best only when it is better by more
-    than 1e-12; an evaluation past the budget ends the search."""
+    than 1e-12; an evaluation past the budget ends the search. The swaps
+    of up to SWAP_CHUNK selected patients are scored in one call and taken
+    in order; a swap changes the state, so scoring restarts after it."""
     state.fill(rng)
     K = len(state.quotas)
     for k in range(K):
@@ -583,22 +631,28 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
                 pool = state.pools[s][k]
                 selected = state.selected(s, k)
                 unselected = pool[~np.isin(pool, selected)]
-                for old in selected:
-                    n_scored = min(unselected.size, move_budget - evals)
-                    # the one evaluation past the budget counts, unscored
-                    evals += n_scored + (n_scored < unselected.size)
-                    trials = state.swap_objectives(s, old, unselected[:n_scored])
-                    best_pos, best_obj = None, current
-                    for pos in np.flatnonzero(trials < current - 1e-12).tolist():
-                        if trials[pos] < best_obj - 1e-12:
-                            best_pos, best_obj = pos, float(trials[pos])
-                    if best_pos is not None:
-                        state.apply_swap(s, old, int(unselected[best_pos]))
-                        unselected[best_pos] = old
-                        current = best_obj
-                        sweep_improved = True
-                    if evals > move_budget:
-                        break
+                start = 0
+                while start < len(selected) and evals <= move_budget:
+                    chunk = selected[start:start + SWAP_CHUNK]
+                    scores = state.swap_objectives(s, np.array(chunk), unselected)
+                    for row, old in enumerate(chunk):
+                        start += 1
+                        n_scored = min(unselected.size, move_budget - evals)
+                        # the one evaluation past the budget counts, unscored
+                        evals += n_scored + (n_scored < unselected.size)
+                        trials = scores[row, :n_scored]
+                        best_pos, best_obj = None, current
+                        for pos in np.flatnonzero(trials < current - 1e-12).tolist():
+                            if trials[pos] < best_obj - 1e-12:
+                                best_pos, best_obj = pos, float(trials[pos])
+                        if best_pos is not None:
+                            state.apply_swap(s, old, int(unselected[best_pos]))
+                            unselected[best_pos] = old
+                            current = best_obj
+                            sweep_improved = True
+                            break  # the later rows were scored before the swap
+                        if evals > move_budget:
+                            break
                 if evals > move_budget:
                     break
             if state.repair_bucket(k):

@@ -196,6 +196,21 @@ def test_adjacent_doubles_are_not_a_cut():
     assert model.trees == ({"value": 0.5},)
 
 
+def test_an_overflowing_midpoint_is_clamped_to_the_upper_value():
+    # (1e308 + 1.5e308) / 2 is inf; "x < inf" would send every row left and
+    # leave the learner a child with no rows, whose value is 0/0
+    x = np.array([1e308] * 3 + [1.5e308] * 3)
+    cfg = LearnerConfig(n_trees=1, max_depth=2, min_leaf=1, feature_subsample=1.0,
+                        bootstrap=False)
+    with np.errstate(over="ignore"):
+        _, _, thresholds = split_scan(x, [np.ones(6)], 1)
+        model = fit(x[:, None], np.array([0, 0, 0, 1, 1, 1.0]), np.ones(6), cfg)
+    assert thresholds.tolist() == [1.5e308]
+    assert model.trees == ({"feature": 0, "threshold": 1.5e308,
+                            "left": {"value": 0.0}, "right": {"value": 1.0}},)
+    assert predict_prob(model, x[:, None]).tolist() == [0, 0, 0, 1, 1, 1]
+
+
 # The per-tree growth that shared node scans replaced, kept as an oracle:
 # every tree re-scans every drawn feature at every node.
 def _oracle_best_split(x_node, y_node, w_node, feats, min_leaf):

@@ -210,12 +210,18 @@ def test_top_cuts_keep_every_tie_in_feature_then_threshold_order(monkeypatch):
         assert fit_policy_tree(X, R, cfg).to_json() == _reference_fit(X, R, cfg, monkeypatch)
 
 
-def test_an_overflowing_midpoint_leaves_an_empty_child(monkeypatch):
-    # (1e308 + 1.5e308) / 2 is inf, so the cut "x < inf" sends every row left
+def test_an_overflowing_midpoint_splits_between_the_values(monkeypatch):
+    # (1e308 + 1.5e308) / 2 is inf, and the cut "x < inf" would send every
+    # row left; the threshold is clamped to the upper value instead
     X = np.array([[1e308]] * 3 + [[1.5e308]] * 3)
     R = np.array([[0.9, 0.1]] * 3 + [[0.1, 0.9]] * 3)
     with np.errstate(over="ignore"):
-        assert fit_policy_tree(X, R, CFG1).to_json() == _reference_fit(X, R, CFG1, monkeypatch)
+        tree = fit_policy_tree(X, R, CFG1)
+        assert tree.to_json() == _reference_fit(X, R, CFG1, monkeypatch)
+    assert (tree.root.feature, tree.root.threshold) == (0, 1.5e308)
+    assert [(leaf.n, leaf.arm) for leaf in (tree.root.left, tree.root.right)] == \
+        [(3, 0), (3, 1)]
+    assert assign(tree, X)[0].tolist() == [0, 0, 0, 1, 1, 1]
 
 
 def test_fit_memory_does_not_grow_with_the_nodes_visited():

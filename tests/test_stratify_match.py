@@ -1,10 +1,12 @@
 """Risk bucketing, quota derivation, and the matching solvers."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trialemu import stratify_match
 from trialemu.cohort import TrialTarget
 from trialemu.errors import (
     ConfigError,
@@ -12,10 +14,13 @@ from trialemu.errors import (
     TargetInfeasibleError,
 )
 from trialemu.stratify_match import (
+    SWAP_CHUNK,
     BucketSpec,
     MatchProblem,
     MatchSolution,
     _bucket_members,
+    _build_solution,
+    _greedy_pairs,
     _HeurState,
     assign_buckets,
     default_quotas,
@@ -419,3 +424,169 @@ def test_exact_solves_instances_near_the_size_cap(seed):
     assert exact.objective <= heur.objective + 1e-12
     assert evaluate_objective(problem, exact)["total"] == exact.objective
     assert solve(problem, mode="exact").pairs == exact.pairs
+
+
+# --- greedy fill: rounds of mutually best pairs against the walk -----------
+
+def _walk_pairs(block, q):
+    """The first q pairs a walk over block's entries in (value, flat index)
+    order takes, a pair being taken when its row and column are both free."""
+    n1, n0 = block.shape
+    used_r, used_c, pairs = set(), set(), []
+    for f in sorted(range(n1 * n0), key=lambda f: (block.flat[f], f)):
+        a, b = divmod(f, n0)
+        if a not in used_r and b not in used_c:
+            used_r.add(a)
+            used_c.add(b)
+            pairs.append((a, b))
+    return pairs[:q]
+
+
+def _chain_block(rng, n, extra_rows):
+    """A block whose only mutually best pair at every round is the chain's
+    last link: row i's two links are columns i - 1 and i, the weights fall
+    along the chain, and every other entry is larger, with ties. Rows and
+    columns are shuffled."""
+    block = rng.integers(4 * n, 4 * n + 3, (n + extra_rows, n)).astype(float)
+    for i in range(n):
+        block[i, i] = 2 * n - 2 * i
+        if i:
+            block[i, i - 1] = 2 * n - 2 * i + 1
+    return block[rng.permutation(n + extra_rows)][:, rng.permutation(n)]
+
+
+@pytest.mark.parametrize("n, extra_rows", [(300, 0), (250, 40)])
+def test_greedy_fill_on_a_chain_takes_the_walks_pairs(n, extra_rows):
+    block = _chain_block(np.random.default_rng(n), n, extra_rows)
+    best_c, best_r = block.argmin(axis=1), block.argmin(axis=0)
+    assert np.count_nonzero(best_r[best_c] == np.arange(block.shape[0])) == 1
+    walk = _walk_pairs(block, n)
+    for q in (1, n // 2, n):
+        rows, cols = _greedy_pairs(block, q)
+        assert list(zip(rows.tolist(), cols.tolist())) == walk[:q]
+
+
+def test_greedy_fill_on_tied_random_blocks_takes_the_walks_pairs():
+    rng = np.random.default_rng(18)
+    for _ in range(1000):
+        n1, n0 = rng.integers(1, 30, 2)
+        block = rng.integers(0, int(rng.integers(1, 5)), (n1, n0)).astype(float)
+        walk = _walk_pairs(block, min(n1, n0))
+        for q in range(1, min(n1, n0) + 1):
+            rows, cols = _greedy_pairs(block, q)
+            assert list(zip(rows.tolist(), cols.tolist())) == walk[:q]
+
+
+# --- chunked swap scores against the per-patient search ---------------------
+
+@pytest.mark.parametrize("name", ["three-buckets", "single-restart"])
+def test_chunk_scores_equal_each_patients_own_call(name):
+    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+    state = _heur_state(problem)
+    state.fill(np.random.default_rng(3))
+    longest = 0
+    for k in range(len(problem.buckets.quotas)):
+        for s in (0, 1):
+            selected = state.selected(s, k)
+            news = np.array([i for i in state.pools[s][k] if i not in selected], int)
+            for start in range(0, len(selected), SWAP_CHUNK):
+                chunk = selected[start:start + SWAP_CHUNK]
+                scores = state.swap_objectives(s, np.array(chunk), news)
+                assert scores.shape == (len(chunk), news.size)
+                for row, old in enumerate(chunk):
+                    # bitwise, not approximate
+                    assert scores[row].tolist() == \
+                        state.swap_objectives(s, old, news).tolist()
+            longest = max(longest, len(selected))
+    assert (longest > SWAP_CHUNK) == (name == "single-restart")
+
+
+def _reference_heuristic_once(state, rng, move_budget):
+    """The local search as it scored one selected patient per call."""
+    state.fill(rng)
+    K = len(state.quotas)
+    for k in range(K):
+        state.repair_bucket(k)
+    current = state.objective()
+    evals = 0
+    sweep_improved = True
+    while sweep_improved and evals < move_budget:
+        sweep_improved = False
+        for k in range(K):
+            for s in (0, 1):
+                pool = state.pools[s][k]
+                selected = state.selected(s, k)
+                unselected = pool[~np.isin(pool, selected)]
+                for old in selected:
+                    n_scored = min(unselected.size, move_budget - evals)
+                    evals += n_scored + (n_scored < unselected.size)
+                    trials = state.swap_objectives(s, old, unselected[:n_scored])
+                    best_pos, best_obj = None, current
+                    for pos in np.flatnonzero(trials < current - 1e-12).tolist():
+                        if trials[pos] < best_obj - 1e-12:
+                            best_pos, best_obj = pos, float(trials[pos])
+                    if best_pos is not None:
+                        state.apply_swap(s, old, int(unselected[best_pos]))
+                        unselected[best_pos] = old
+                        current = best_obj
+                        sweep_improved = True
+                    if evals > move_budget:
+                        break
+                if evals > move_budget:
+                    break
+            if state.repair_bucket(k):
+                current = state.objective()
+                sweep_improved = True
+            if evals > move_budget:
+                break
+
+    st, sc = (np.array(sel, int) for sel in state.sel)
+    slot = {ci: i for i, ci in enumerate(state.sel[1])}
+    pairing = [slot[state.partner[0][t]] for t in state.sel[0]]
+    return replace(_build_solution(state.p, st, sc, pairing), evals=evals,
+                   budget_exhausted=evals > move_budget or sweep_improved)
+
+
+def _evals_at_swaps(problem, monkeypatch):
+    """The evaluation count right after each swap of the greedy restart's
+    unbounded reference search, where every row scores every candidate."""
+    evals, at_swap = [0], []
+    score, swap = _HeurState.swap_objectives, _HeurState.apply_swap
+
+    def counting_score(state, s, old, news):
+        evals[0] += len(news)
+        return score(state, s, old, news)
+
+    def recording_swap(state, s, old, new):
+        at_swap.append(evals[0])
+        swap(state, s, old, new)
+
+    with monkeypatch.context() as m:
+        m.setattr(_HeurState, "swap_objectives", counting_score)
+        m.setattr(_HeurState, "apply_swap", recording_swap)
+        sol = _reference_heuristic_once(_heur_state(problem), None, 10**6)
+    assert sol.evals == evals[0]
+    return at_swap
+
+
+def _search_outcome(problem, budget):
+    sol = solve(problem, seed=7, move_budget=budget)
+    return sol.pairs, sol.objective, sol.evals, sol.budget_exhausted, sol.restart
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PROBLEMS) + ["more-than-a-chunk"])
+def test_chunked_search_equals_the_per_patient_search(name, monkeypatch):
+    kwargs = GOLDEN_PROBLEMS.get(name) or dict(
+        seed=9, n_t=260, n_c=240, boundaries=(0.0, 1.0), share=0.6)
+    problem = golden_problem(**kwargs)
+    swaps = _evals_at_swaps(problem, monkeypatch)
+    assert len(swaps) >= 3
+    # budgets that end right after a swap, one evaluation into the swap's
+    # row or the next row, partway into the first rows, and never
+    budgets = {0, 1, 7, 50, 333, 10**6}
+    budgets |= {e + d for e in swaps[:3] + swaps[-2:] for d in (-1, 0, 1)}
+    for budget in sorted(budgets):
+        got = _search_outcome(problem, budget)
+        with monkeypatch.context() as m:
+            m.setattr(stratify_match, "_heuristic_once", _reference_heuristic_once)
+            assert got == _search_outcome(problem, budget), budget
