@@ -15,13 +15,23 @@ Without bootstrapping every tree trains on the same rows in the same
 order, so a node reached by the same splits from the root holds the same
 rows in every tree; the trees differ only in the features drawn at each
 node. The trees of such a fit therefore share one set of nodes, and each
-node is scanned once, over all features, by the first tree to reach it."""
+node is scanned once, over all features, by the first tree to reach it.
+
+The trees of a bootstrapped fit share nothing: tree t depends only on the
+fit's inputs and its own (seed, t) stream. They are grown in parallel, one
+contiguous range of tree indices per CPU in the process's affinity mask,
+this process growing the first and forked workers the rest, and the ranges
+are joined in tree order, so the fit is byte-identical for any CPU count.
+Unbootstrapped fits, whose trees share one set of nodes, grow in this
+process."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +106,9 @@ def split_scan(x, columns, min_leaf):
     the midpoint of the two adjacent sorted values lies above the lower one,
     so "value < midpoint" splits them as scanned, and each side holds at
     least min_leaf rows. (The midpoint of two adjacent doubles can round
-    down onto the lower value, and overflow to inf near the largest double;
-    it is clamped to the upper value, which still splits them as scanned.)
+    down onto the lower value. Where the sum of the two overflows, to inf or
+    to -inf, the threshold is the upper value, which still splits them as
+    scanned.)
 
     x is a k x m block whose rows are each sorted ascending, one feature's
     values per row, and each column is a k x m array in the same order.
@@ -114,7 +125,8 @@ def split_scan(x, columns, min_leaf):
     # cut i puts sorted rows 0..i left, so both sides hold min_leaf rows
     # exactly when lo <= i < hi
     lo, hi = min_leaf - 1, max(m - min_leaf, min_leaf - 1)
-    mid = np.minimum((x[:, :-1] + x[:, 1:]) / 2.0, x[:, 1:])
+    mid = (x[:, :-1] + x[:, 1:]) / 2.0
+    mid = np.where(np.isinf(mid), x[:, 1:], mid)
     valid = np.zeros((x.shape[0], m - 1), dtype=bool)
     valid[:, lo:hi] = x[:, lo:hi] < mid[:, lo:hi]
     thresholds = np.where(valid, mid, np.nan)
@@ -226,6 +238,69 @@ def _grow(node, rng, cfg, n_sub_features, depth=0):
     }
 
 
+def _processes() -> int:
+    """How many processes grow a bootstrapped fit's trees: the CPUs in this
+    process's affinity mask, or 1 where there is no such mask or no fork
+    start method, and in a daemonic process, which may not start any."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _send_trees(grow_trees, t0, t1, send):
+    """A forked worker's body: send (True, trees t0 .. t1 - 1), or (False,
+    the exception that growing them raised)."""
+    try:
+        result = True, grow_trees(t0, t1)
+    except Exception as exc:
+        result = False, exc
+    send.send(result)
+
+
+def _in_processes(grow_trees, n_trees):
+    """grow_trees(0, n_trees), grown in contiguous, equal tree-index ranges
+    by min(_processes(), n_trees) processes: this one grows the first range,
+    and a forked worker each other one. The workers inherit the fit's arrays
+    through fork and send back their lists of trees, which are joined in
+    tree order. Every worker is joined before this returns or raises, and a
+    worker's exception is raised here."""
+    k = min(_processes(), n_trees)
+    if k == 1:
+        return grow_trees(0, n_trees)
+    bounds = [n_trees * i // k for i in range(k + 1)]
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for t0, t1 in zip(bounds[1:-1], bounds[2:]):
+            receive, send = ctx.Pipe(duplex=False)
+            with send:  # closed before the next fork: only its worker holds it
+                proc = ctx.Process(target=_send_trees, args=(grow_trees, t0, t1, send))
+                proc.start()
+            workers.append((proc, receive))
+        trees = grow_trees(bounds[0], bounds[1])
+        for proc, receive in workers:
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"a tree worker exited with code {proc.exitcode}") from None
+            if not ok:
+                raise result
+            trees += result
+    except BaseException:
+        for proc, _ in workers:
+            proc.kill()
+        raise
+    finally:
+        for proc, receive in workers:
+            proc.join()
+            receive.close()
+    return trees
+
+
 def fit(features, labels, weights, config: LearnerConfig,
         on_single_class: str = "raise") -> FittedEnsemble:
     """Fit a weighted ensemble. on_single_class: "raise" or "constant"."""
@@ -254,15 +329,23 @@ def fit(features, labels, weights, config: LearnerConfig,
     L = X.shape[1]
     n_sub = max(1, int(math.ceil(config.feature_subsample * L)))
     prob = w / w.sum()
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng([config.seed, t])
-        if config.bootstrap:
-            idx = rng.choice(n, size=n, replace=True, p=prob)
-            root = _root(X[idx], y[idx], w[idx], shared=False)
-        elif t == 0:
-            root = _root(X, y, w, shared=True)  # the same rows for every tree
-        trees.append(_grow(root, rng, config, n_sub))
+    # the same rows for every tree of an unbootstrapped fit
+    shared = None if config.bootstrap else _root(X, y, w, shared=True)
+
+    def grow_trees(t0, t1):
+        """Trees t0 .. t1 - 1, each from its own (seed, tree index) stream."""
+        trees = []
+        for t in range(t0, t1):
+            rng = np.random.default_rng([config.seed, t])
+            root = shared
+            if config.bootstrap:
+                idx = rng.choice(n, size=n, replace=True, p=prob)
+                root = _root(X[idx], y[idx], w[idx], shared=False)
+            trees.append(_grow(root, rng, config, n_sub))
+        return trees
+
+    trees = (_in_processes(grow_trees, config.n_trees) if config.bootstrap
+             else grow_trees(0, config.n_trees))
     digest = hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()[:16]
     return FittedEnsemble(tuple(trees), L, config, digest)
 

@@ -458,10 +458,12 @@ class _HeurState:
     ``pools[1][k]`` as columns, and ``blocks[1][k]`` is its transpose, so
     ``pos[s]`` gives each patient's row in its side's block. ``sel[s]``
     lists the selected side-s patients in selection order and
-    ``partner[s]`` maps each to its partner on side 1 - s. ``values[s]``
-    holds each patient's risk and targeted covariates, and ``sums[s]``
-    their running sums over the selection; with the running pair-distance
-    sum they give a swap's objective without a full re-evaluation.
+    ``partner[s]`` maps each to its partner on side 1 - s; ``chosen[k]``
+    lists bucket k's selected treated patients in the order of ``sel[0]``.
+    ``values[s]`` holds each patient's risk and targeted covariates, and
+    ``sums[s]`` their running sums over the selection; with the running
+    pair-distance sum they give a swap's objective without a full
+    re-evaluation.
     ``swap_objectives`` scores every candidate for one selected patient, or
     for a chunk of them, one row each, in one numpy expression. ``fill``
     adds the greedy pairs in the order a walk by ascending distance meets
@@ -492,6 +494,7 @@ class _HeurState:
                         np.array([tgt] + [a0 for _, a0, _ in cols]))
         self.sel: tuple[list[int], list[int]] = ([], [])
         self.partner: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.chosen: list[list[int]] = [[] for _ in quotas]
         self.sums = np.zeros((2, len(cols) + 1))
         self.dist_sum = 0.0
 
@@ -505,6 +508,7 @@ class _HeurState:
             self.sel[s].append(i)
             self.partner[s][i] = j
             self.sums[s] += self.values[s][i]
+        self.chosen[self.bucket[0][ti]].append(ti)
         self.dist_sum += float(self._distances(0, ci)[self.pos[0][ti]])
 
     def fill(self, rng) -> None:
@@ -541,8 +545,8 @@ class _HeurState:
 
     def selected(self, s: int, k: int) -> list[int]:
         """Bucket k's selected side-s patients, in treated selection order."""
-        members = [t for t in self.sel[0] if self.bucket[0][t] == k]
-        return [self.partner[0][t] for t in members] if s else members
+        members = self.chosen[k]
+        return [self.partner[0][t] for t in members] if s else list(members)
 
     def swap_objectives(self, s: int, old, news: np.ndarray) -> np.ndarray:
         """Objective after swapping selected side-s patient old for each
@@ -563,6 +567,9 @@ class _HeurState:
     def apply_swap(self, s: int, old: int, new: int) -> None:
         j = self.partner[s].pop(old)
         self.sel[s][self.sel[s].index(old)] = new
+        if s == 0:
+            members = self.chosen[self.bucket[0][old]]
+            members[members.index(old)] = new
         self.partner[s][new] = j
         self.partner[1 - s][j] = new
         self.sums[s] += self.values[s][new] - self.values[s][old]

@@ -1,5 +1,8 @@
 """Weighted ensemble learner: splits, weights, determinism, serialization."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from trialemu.errors import (
     InsufficientDataError,
     SchemaError,
 )
+import trialemu.learner as learner_module
 from trialemu.learner import (
     FittedEnsemble,
     LearnerConfig,
@@ -211,6 +215,21 @@ def test_an_overflowing_midpoint_is_clamped_to_the_upper_value():
     assert predict_prob(model, x[:, None]).tolist() == [0, 0, 0, 1, 1, 1]
 
 
+def test_a_negatively_overflowing_midpoint_is_clamped_to_the_upper_value():
+    # (-1.5e308 + -1e308) / 2 is -inf; "x < -inf" is no cut, so the only
+    # cut between the two values was dropped
+    x = np.array([-1.5e308] * 3 + [-1e308] * 3)
+    cfg = LearnerConfig(n_trees=1, max_depth=2, min_leaf=1, feature_subsample=1.0,
+                        bootstrap=False)
+    with np.errstate(over="ignore"):
+        _, _, thresholds = split_scan(x, [np.ones(6)], 1)
+        model = fit(x[:, None], np.array([0, 0, 0, 1, 1, 1.0]), np.ones(6), cfg)
+    assert thresholds.tolist() == [-1e308]
+    assert model.trees == ({"feature": 0, "threshold": -1e308,
+                            "left": {"value": 0.0}, "right": {"value": 1.0}},)
+    assert predict_prob(model, x[:, None]).tolist() == [0, 0, 0, 1, 1, 1]
+
+
 # The per-tree growth that shared node scans replaced, kept as an oracle:
 # every tree re-scans every drawn feature at every node.
 def _oracle_best_split(x_node, y_node, w_node, feats, min_leaf):
@@ -392,6 +411,7 @@ def test_bootstrapped_fit_scans_each_node_once(monkeypatch):
 
     monkeypatch.setattr(learner_module, "split_scan", counting_scan)
     monkeypatch.setattr(learner_module._Node, "best_split", counting_best_split)
+    _force_processes(monkeypatch, 1)  # the counters see only this process
     X, y = make_dataset(4, n=400)
     X = np.hstack([X, np.random.default_rng(4).normal(size=(400, 3))])
     fit(X, y, np.ones(400), LearnerConfig(n_trees=10, max_depth=6, min_leaf=3,
@@ -410,3 +430,72 @@ def test_non_finite_inputs_are_schema_errors(bootstrap, which, bad):
     with pytest.raises(SchemaError, match=which):
         fit(arrays["features"], arrays["labels"], arrays["weights"],
             LearnerConfig(n_trees=3, max_depth=3, min_leaf=2, bootstrap=bootstrap))
+
+
+def _force_processes(monkeypatch, k):
+    monkeypatch.setattr(learner_module, "_processes", lambda: k)
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 3, 20])
+def test_bootstrapped_fit_is_byte_identical_for_any_process_count(n_trees,
+                                                                  monkeypatch):
+    # n_trees 1 and 2 are fewer trees than 3 processes
+    X, y = make_dataset(17, n=150, n_features=3)
+    w = np.where(y == 1, 2.0, 1.0)
+    cfg = LearnerConfig(n_trees=n_trees, max_depth=5, min_leaf=3, seed=9)
+    docs = []
+    for k in (1, 2, 3):
+        _force_processes(monkeypatch, k)
+        docs.append(fit(X, y, w, cfg).to_json())
+        assert multiprocessing.active_children() == []
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["worker", "this process"])
+def test_an_exception_while_growing_reaches_the_caller_and_no_worker_outlives_it(
+        where, monkeypatch):
+    parent = os.getpid()
+    grow = learner_module._grow
+
+    def failing_grow(node, rng, cfg, n_sub_features, depth=0):
+        # raised by every tree in a worker's range, or in this process's
+        if (os.getpid() != parent) == (where == "worker"):
+            raise _Boom(where)
+        return grow(node, rng, cfg, n_sub_features, depth)
+
+    monkeypatch.setattr(learner_module, "_grow", failing_grow)
+    _force_processes(monkeypatch, 3)
+    X, y = make_dataset(3, n=80)
+    with pytest.raises(_Boom, match=where):
+        fit(X, y, np.ones(len(y)), LearnerConfig(n_trees=9, max_depth=3, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_without_sending_is_an_error(monkeypatch):
+    parent = os.getpid()
+    grow = learner_module._grow
+
+    def dying_grow(node, rng, cfg, n_sub_features, depth=0):
+        if os.getpid() != parent:
+            os._exit(7)
+        return grow(node, rng, cfg, n_sub_features, depth)
+
+    monkeypatch.setattr(learner_module, "_grow", dying_grow)
+    _force_processes(monkeypatch, 2)
+    X, y = make_dataset(3, n=80)
+    with pytest.raises(ChildProcessError, match="code 7"):
+        fit(X, y, np.ones(len(y)), LearnerConfig(n_trees=4, max_depth=3, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_unbootstrapped_fits_grow_in_this_process(monkeypatch):
+    def no_workers():
+        raise AssertionError("an unbootstrapped fit asked for processes")
+
+    monkeypatch.setattr(learner_module, "_processes", no_workers)
+    X, y = make_dataset(6)
+    fit(X, y, np.ones(len(y)), LearnerConfig(n_trees=8, bootstrap=False))

@@ -92,6 +92,19 @@ def test_mini_run_artifacts_are_pinned(mini_run):
     assert recorded == MINI_RUN_SHA256
 
 
+@pytest.mark.parametrize("processes", [1, 3])
+def test_mini_run_artifacts_do_not_depend_on_the_process_count(
+        processes, mini_corpus, tmp_path, monkeypatch):
+    # the risk model's bootstrapped trees grow in this many processes
+    monkeypatch.setattr(learner, "_processes", lambda: processes)
+    cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
+    pipeline.run_pipeline(cfg, tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    recorded = {name: digest for entry in manifest["stages"]
+                for name, digest in entry["artifacts"].items()}
+    assert recorded == MINI_RUN_SHA256
+
+
 def test_each_input_is_parsed_once_per_call(mini_corpus, tmp_path, monkeypatch):
     calls = {"load_cohort": 0, "load_trial_config": 0}
     for name in calls:

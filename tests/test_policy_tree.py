@@ -224,6 +224,20 @@ def test_an_overflowing_midpoint_splits_between_the_values(monkeypatch):
     assert assign(tree, X)[0].tolist() == [0, 0, 0, 1, 1, 1]
 
 
+def test_a_negatively_overflowing_midpoint_splits_between_the_values(monkeypatch):
+    # (-1.5e308 + -1e308) / 2 is -inf, and the cut "x < -inf" would send
+    # every row right; the threshold is the upper value instead
+    X = np.array([[-1.5e308]] * 3 + [[-1e308]] * 3)
+    R = np.array([[0.9, 0.1]] * 3 + [[0.1, 0.9]] * 3)
+    with np.errstate(over="ignore"):
+        tree = fit_policy_tree(X, R, CFG1)
+        assert tree.to_json() == _reference_fit(X, R, CFG1, monkeypatch)
+    assert (tree.root.feature, tree.root.threshold) == (0, -1e308)
+    assert [(leaf.n, leaf.arm) for leaf in (tree.root.left, tree.root.right)] == \
+        [(3, 0), (3, 1)]
+    assert assign(tree, X)[0].tolist() == [0, 0, 0, 1, 1, 1]
+
+
 def test_fit_memory_does_not_grow_with_the_nodes_visited():
     # a depth-3 fit visits thousands of nodes; a cache keyed by node would
     # hold tens of MB here, the presorted matrices well under one

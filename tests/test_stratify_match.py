@@ -337,6 +337,44 @@ def test_swap_objectives_equal_scalar_evaluation(name):
                 assert got.tolist() == expected  # bitwise, not approximate
 
 
+def _scanned_selection(state, s, k):
+    """Bucket k's selected side-s patients found by scanning the treated
+    selection, in its order."""
+    members = [t for t in state.sel[0] if state.bucket[0][t] == k]
+    return [state.partner[0][t] for t in members] if s else members
+
+
+@pytest.mark.parametrize("name", ["three-buckets", "single-restart"])
+@pytest.mark.parametrize("fill_seed", [None, 0])
+def test_bucket_selection_lists_follow_fills_swaps_and_repairs(name, fill_seed):
+    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+    state = _heur_state(problem)
+    K = len(problem.buckets.quotas)
+
+    def check():
+        for k in range(K):
+            for s in (0, 1):
+                assert state.selected(s, k) == _scanned_selection(state, s, k)
+
+    state.fill(None if fill_seed is None else np.random.default_rng(fill_seed))
+    check()
+    rng = np.random.default_rng(5)
+    repaired = 0
+    for step in range(60):
+        k = int(rng.integers(K))
+        s = int(rng.integers(2))
+        selected = state.selected(s, k)
+        unselected = np.setdiff1d(state.pools[s][k], selected)
+        if selected and unselected.size:
+            state.apply_swap(s, selected[int(rng.integers(len(selected)))],
+                             int(rng.choice(unselected)))
+        check()
+        if step % 5 == 0:
+            repaired += sum(state.repair_bucket(b) for b in range(K))
+            check()
+    assert repaired > 0  # the repairs re-paired some bucket
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_greedy_fill_breaks_distance_ties_by_flat_index(seed):
     # a binary distance covariate: every distance is 0 or one shared value
