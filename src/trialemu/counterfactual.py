@@ -45,7 +45,7 @@ class RewardMatrix:
         r = np.asarray(self.rewards, dtype=float)
         if r.ndim != 2 or r.shape[1] != 2 or r.shape[0] != len(self.ids):
             raise ConfigError("rewards must be an n x 2 matrix matching ids")
-        if np.any((r < 0) | (r > 1)):
+        if not np.all((r >= 0) & (r <= 1)):
             raise ConfigError("reward entries must lie in [0, 1]")
 
     def column_means(self):

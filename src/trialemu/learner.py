@@ -323,8 +323,6 @@ def fit(features, labels, weights, config: LearnerConfig,
         if on_single_class == "constant":
             return constant_model(float(classes[0]), X.shape[1], config)
         raise DegenerateModelError("training labels contain a single class")
-    if n < 2:
-        raise InsufficientDataError("need at least 2 samples")
 
     L = X.shape[1]
     n_sub = max(1, int(math.ceil(config.feature_subsample * L)))

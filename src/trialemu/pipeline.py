@@ -549,7 +549,9 @@ def _config_digest(config: PipelineConfig) -> str:
 
 def _read_manifest(path: Path) -> dict:
     """The manifest at ``path``: a JSON object whose ``stages`` lists
-    objects with a string ``name`` and an object ``artifacts``."""
+    objects with a string ``name`` and an object ``artifacts`` keyed by
+    plain file names, so no listed artifact lies outside the run
+    directory."""
     try:
         manifest = _read_json(path)
     except ValueError:  # not UTF-8, or not JSON
@@ -557,7 +559,9 @@ def _read_manifest(path: Path) -> dict:
     stages = manifest.get("stages") if isinstance(manifest, dict) else None
     if not isinstance(stages, list) or not all(
             isinstance(e, dict) and isinstance(e.get("name"), str)
-            and isinstance(e.get("artifacts"), dict) for e in stages):
+            and isinstance(e.get("artifacts"), dict)
+            and all(Path(n).name == n not in ("", "..") for n in e["artifacts"])
+            for e in stages):
         raise ArtifactError(f"{path}: malformed manifest.json; delete it and rerun")
     return manifest
 
@@ -576,13 +580,12 @@ def _verify_stage(out: Path, entry: dict) -> None:
 
 
 def _remove_artifacts(out: Path, entries) -> None:
-    """Delete the files that manifest entries list. Only plain file names
-    inside ``out`` are touched, so a crafted manifest cannot reach beyond
-    the run directory."""
+    """Delete the files that manifest entries list; ``_read_manifest``
+    admits only plain file names, so each lies inside ``out``."""
     for entry in entries:
         for name in entry["artifacts"]:
             path = out / name
-            if name == path.name != ".." and path.is_file():
+            if path.is_file():
                 path.unlink()
 
 

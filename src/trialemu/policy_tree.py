@@ -61,7 +61,6 @@ class Node:
 @dataclass
 class PolicyTree:
     root: Node
-    config: PolicyTreeConfig
     n_features: int
     training_value: float = 0.0
     nodes: list = field(default_factory=list)  # breadth-first, ids from 1
@@ -97,8 +96,7 @@ class PolicyTree:
 
     @classmethod
     def from_json(cls, doc: str) -> "PolicyTree":
-        """Inverse of ``to_json``. The fitting config is not serialized, so
-        the decoded tree carries the default one."""
+        """Inverse of ``to_json``."""
         raw = json.loads(doc)
 
         def dec(node):
@@ -109,8 +107,7 @@ class PolicyTree:
                         mean_r0=node["mean_reward_control"],
                         mean_r1=node["mean_reward_treatment"])
 
-        tree = cls(root=dec(raw["tree"]), config=PolicyTreeConfig(),
-                   n_features=raw["n_features"],
+        tree = cls(root=dec(raw["tree"]), n_features=raw["n_features"],
                    training_value=raw["training_value"])
         _number_nodes(tree)
         return tree
@@ -311,7 +308,7 @@ def fit_policy_tree(covariates, rewards, config: PolicyTreeConfig) -> PolicyTree
     root, _ = _grow(order, XT, R, config, n, 0)
     _local_search(root, X, R, order, config.min_leaf)
 
-    tree = PolicyTree(root=root, config=config, n_features=X.shape[1])
+    tree = PolicyTree(root=root, n_features=X.shape[1])
     _refresh_stats(root, X, R)
     _number_nodes(tree)
     tree.training_value = _subtree_value(root, X, R, np.arange(n)) / n

@@ -10,10 +10,14 @@ cross buckets, so the heuristic computes pair distances once per solve as
 one treated-by-untreated block per bucket. The greedy fill takes the pairs
 that a walk over a block in ascending distance order would take, found in
 rounds of mutually best pairs instead of by sorting the block. The local
-search scores every candidate swap of up to SWAP_CHUNK selected patients
-in one vectorized expression. The heuristic's state is indexed by side
-(0 treated, 1 untreated), so each move is written once and serves both
-arms.
+search scores every candidate swap of up to SWAP_CHUNK pairs in one
+vectorized expression. The heuristic's state is indexed by side (0
+treated, 1 untreated), so each move is written once and serves both arms.
+Each bucket keeps its selection as slots of positions within the bucket,
+one array per side, and a link that pairs treated slot i with an untreated
+slot: a swap writes one slot, and a re-pairing permutes the link. Both
+solvers build the solution from per-bucket (treated, untreated, link)
+triples.
 """
 
 from __future__ import annotations
@@ -277,12 +281,14 @@ def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
     }
 
 
-def _build_solution(problem, sel_t, sel_c, pairing):
-    """pairing maps position in sel_t -> position in sel_c."""
-    pairs = sorted(
-        (problem.treated_ids[sel_t[i]], problem.untreated_ids[sel_c[pairing[i]]])
-        for i in range(len(sel_t))
-    )
+def _build_solution(problem, buckets=()):
+    """The solution of per-bucket (tk, ck, link) triples: treated patients
+    tk, untreated patients ck, and tk[i] paired with ck[link[i]]. The
+    achieved covariate means add the patients in the order given."""
+    pairs = sorted((problem.treated_ids[t], problem.untreated_ids[ck[j]])
+                   for tk, ck, link in buckets for t, j in zip(tk, link))
+    sel_t = np.array([t for tk, _, _ in buckets for t in tk], int)
+    sel_c = np.array([c for _, ck, _ in buckets for c in ck], int)
     sol = MatchSolution(tuple(pairs), 0.0, {}, {})
     breakdown = evaluate_objective(problem, sol)
     achieved = {
@@ -351,7 +357,7 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
 
     n_sel = int(sum(quotas))
     if n_sel == 0:
-        return _build_solution(problem, np.array([], int), np.array([], int), [])
+        return _build_solution(problem)
 
     # columns: x per same-bucket pair in a bucket with a quota, s per
     # treated, u per untreated, then p and m per absolute-deviation term
@@ -397,19 +403,17 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
         raise TargetInfeasibleError(f"exact solver found no optimum: {res.message}")
 
     chosen = res.x[n_x:n_bin] > 0.5  # s, then u
-    sel_t, sel_c, pairing = [], [], []
+    buckets = []
     for k in range(K):
         tk, ck = T[k][chosen[T[k]]], C[k][chosen[n_t + C[k]]]
-        _, pos = linear_sum_assignment(problem.distance_matrix(tk, ck))
-        pairing += (len(sel_c) + pos).tolist()
-        sel_t += tk.tolist()
-        sel_c += ck.tolist()
-    return _build_solution(problem, np.array(sel_t, int), np.array(sel_c, int), pairing)
+        _, link = linear_sum_assignment(problem.distance_matrix(tk, ck))
+        buckets.append((tk, ck, link))
+    return _build_solution(problem, buckets)
 
 
 # --- heuristic: greedy construction + local search --------------------------
 
-SWAP_CHUNK = 64  # selected patients whose swaps one swap_objectives call scores
+SWAP_CHUNK = 64  # pairs whose swaps one swap_objectives call scores
 
 
 def _greedy_pairs(block, q):
@@ -451,65 +455,47 @@ def _greedy_pairs(block, q):
 class _HeurState:
     """Selection state of one heuristic restart, indexed by side s: 0 for
     treated, 1 for untreated, so each move is written once, for side s and
-    its partner side 1 - s.
+    its partner side 1 - s. Every index is a position within a bucket.
 
     ``pools[s][k]`` lists bucket k's side-s patients; ``blocks[0][k]`` holds
     their pair distances, treated ``pools[0][k]`` as rows and untreated
-    ``pools[1][k]`` as columns, and ``blocks[1][k]`` is its transpose, so
-    ``pos[s]`` gives each patient's row in its side's block. ``sel[s]``
-    lists the selected side-s patients in selection order and
-    ``partner[s]`` maps each to its partner on side 1 - s; ``chosen[k]``
-    lists bucket k's selected treated patients in the order of ``sel[0]``.
-    ``values[s]`` holds each patient's risk and targeted covariates, and
-    ``sums[s]`` their running sums over the selection; with the running
-    pair-distance sum they give a swap's objective without a full
-    re-evaluation.
-    ``swap_objectives`` scores every candidate for one selected patient, or
-    for a chunk of them, one row each, in one numpy expression. ``fill``
-    adds the greedy pairs in the order a walk by ascending distance meets
-    them, so the running sums are added in that order. Blocks are read only
-    by ``_distances``, ``swap_objectives``, ``fill`` and ``repair_bucket``.
+    ``pools[1][k]`` as columns, and ``blocks[1][k]`` is its transpose.
+    ``slots[s][k]`` holds the positions in ``pools[s][k]`` of bucket k's
+    selected side-s patients in fill order; a swap writes into one slot.
+    Pair i of bucket k is treated slot i with untreated slot
+    ``link[k][i]``, so a re-pairing only permutes ``link[k]``. The untreated
+    slots keep their fill order because the solution adds the achieved
+    means in slot order. ``values[s][k]`` holds the risk and targeted
+    covariates of ``pools[s][k]``, and ``sums[s]`` their running sums over
+    the selection; with the running pair-distance sum they give a swap's
+    objective without a full re-evaluation.
+    ``swap_objectives`` scores every candidate for a chunk of pairs, one row
+    each, in one numpy expression. ``fill`` adds the greedy pairs in the
+    order a walk by ascending distance meets them, so the running sums are
+    added in that order. Blocks are read only by ``fill``,
+    ``swap_objectives``, ``apply_swap`` and ``repair_bucket``.
     """
 
     def __init__(self, problem: MatchProblem, pools, quotas, blocks):
         self.p = problem
         self.pools = pools
         self.blocks = (blocks, [b.T for b in blocks])
-        self.bucket = (problem.treated_bucket.tolist(),
-                       problem.untreated_bucket.tolist())
-        self.pos = (np.empty(len(problem.treated_ids), int),
-                    np.empty(len(problem.untreated_ids), int))
-        for s in (0, 1):
-            for members in pools[s]:
-                self.pos[s][members] = np.arange(len(members))
         self.quotas = quotas
         self.n_sel = int(sum(quotas))
         cols = problem.target_columns()
         arms = ((problem.treated_risks, problem.treated_X),
                 (problem.untreated_risks, problem.untreated_X))
-        self.values = tuple(np.column_stack([risks] + [X[:, c] for c, _, _ in cols])
-                            for risks, X in arms)
+        self.values = tuple(
+            [np.column_stack([risks[m]] + [X[m, c] for c, _, _ in cols]) for m in side]
+            for (risks, X), side in zip(arms, pools))
         tgt = problem.risk_target
         self.targets = (np.array([tgt] + [a1 for _, _, a1 in cols]),
                         np.array([tgt] + [a0 for _, a0, _ in cols]))
-        self.sel: tuple[list[int], list[int]] = ([], [])
-        self.partner: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.chosen: list[list[int]] = [[] for _ in quotas]
+        empty = np.zeros(0, int)
+        self.slots = ([empty] * len(quotas), [empty] * len(quotas))
+        self.link = [empty] * len(quotas)
         self.sums = np.zeros((2, len(cols) + 1))
         self.dist_sum = 0.0
-
-    def _distances(self, s: int, j: int) -> np.ndarray:
-        """The distances from each side-s patient of j's bucket to j, a
-        patient of side 1 - s, indexed by ``pos[s]``."""
-        return self.blocks[1 - s][self.bucket[1 - s][j]][self.pos[1 - s][j]]
-
-    def _add_pair(self, ti: int, ci: int) -> None:
-        for s, (i, j) in enumerate(((ti, ci), (ci, ti))):
-            self.sel[s].append(i)
-            self.partner[s][i] = j
-            self.sums[s] += self.values[s][i]
-        self.chosen[self.bucket[0][ti]].append(ti)
-        self.dist_sum += float(self._distances(0, ci)[self.pos[0][ti]])
 
     def fill(self, rng) -> None:
         """Select each bucket's quota of pairs: without rng, the pairs a
@@ -519,22 +505,23 @@ class _HeurState:
         for k, q in enumerate(self.quotas):
             if q == 0:
                 continue
-            tk, ck = self.pools[0][k], self.pools[1][k]
             if rng is not None:
-                pairs = zip(rng.choice(tk, size=q, replace=False).tolist(),
-                            rng.choice(ck, size=q, replace=False).tolist())
+                rows = rng.choice(len(self.pools[0][k]), q, replace=False)
+                cols = rng.choice(len(self.pools[1][k]), q, replace=False)
             else:
                 rows, cols = _greedy_pairs(self.blocks[0][k], q)
-                pairs = zip(tk[rows].tolist(), ck[cols].tolist())
-            for ti, ci in pairs:
-                self._add_pair(ti, ci)
+            self.slots[0][k], self.slots[1][k], self.link[k] = rows, cols, np.arange(q)
+            for r, c in zip(rows.tolist(), cols.tolist()):
+                self.sums[0] += self.values[0][k][r]
+                self.sums[1] += self.values[1][k][c]
+                self.dist_sum += float(self.blocks[0][k][r, c])
 
     def _objective_from_sums(self, sums, dist_sum):
         """Scalar sums give one objective. A side's sums of shape (..., m),
         with dist_sum of shape (...), give one objective per entry: a 2-D
-        side one per candidate, a 3-D side one per (selected patient,
-        candidate). Every entry is bitwise equal to the scalar evaluation
-        of its own sums, since each step is elementwise."""
+        side one per candidate, a 3-D side one per (pair, candidate). Every
+        entry is bitwise equal to the scalar evaluation of its own sums,
+        since each step is elementwise."""
         dev = [abs(self.targets[s] - sums[s] / self.n_sel) for s in (0, 1)]
         ct, cc = (sum((d[..., i] for i in range(1, d.shape[-1])), 0.0) for d in dev)
         return _objective_from_terms(self.p, dev[0][..., 0], dev[1][..., 0],
@@ -543,52 +530,44 @@ class _HeurState:
     def objective(self) -> float:
         return float(self._objective_from_sums(self.sums, self.dist_sum))
 
-    def selected(self, s: int, k: int) -> list[int]:
-        """Bucket k's selected side-s patients, in treated selection order."""
-        members = self.chosen[k]
-        return [self.partner[0][t] for t in members] if s else list(members)
+    def selected(self, s: int, k: int) -> np.ndarray:
+        """Bucket k's selected side-s positions, in pair order."""
+        return self.slots[1][k][self.link[k]] if s else self.slots[0][k]
 
-    def swap_objectives(self, s: int, old, news: np.ndarray) -> np.ndarray:
-        """Objective after swapping selected side-s patient old for each
-        unselected patient in news; each swapped sum is (sum + new) - old,
-        and the pair-distance sum (dist_sum + d_new) - d_old. An array old,
-        all of one bucket, gives one row of objectives per patient, each
-        entry bitwise equal to the one its own call gives."""
-        olds = np.atleast_1d(old)
+    def swap_objectives(self, s: int, k: int, slots, news) -> np.ndarray:
+        """Objectives after swapping bucket k's side-s patient of each pair
+        in slots for each unselected side-s position in news, one row per
+        pair; each swapped sum is (sum + new) - old, and the pair-distance
+        sum (dist_sum + d_new) - d_old."""
+        olds = self.selected(s, k)[slots]
+        d = self.blocks[1 - s][k][self.selected(1 - s, k)[slots]]
         sums = list(self.sums)
-        sums[s] = (sums[s] + self.values[s][news]) - self.values[s][olds][:, None]
-        j = self.pos[1 - s][[self.partner[s][i] for i in olds.tolist()]]
-        d = self.blocks[1 - s][self.bucket[s][olds[0]]][j]
-        dist = ((self.dist_sum + d[:, self.pos[s][news]])
-                - d[np.arange(olds.size), self.pos[s][olds]][:, None])
-        out = self._objective_from_sums(sums, dist)
-        return out if np.ndim(old) else out[0]
+        sums[s] = (sums[s] + self.values[s][k][news]) - self.values[s][k][olds][:, None]
+        dist = ((self.dist_sum + d[:, news])
+                - d[np.arange(olds.size), olds][:, None])
+        return self._objective_from_sums(sums, dist)
 
-    def apply_swap(self, s: int, old: int, new: int) -> None:
-        j = self.partner[s].pop(old)
-        self.sel[s][self.sel[s].index(old)] = new
-        if s == 0:
-            members = self.chosen[self.bucket[0][old]]
-            members[members.index(old)] = new
-        self.partner[s][new] = j
-        self.partner[1 - s][j] = new
-        self.sums[s] += self.values[s][new] - self.values[s][old]
-        d = self._distances(s, j)
-        self.dist_sum += float(d[self.pos[s][new]]) - float(d[self.pos[s][old]])
+    def apply_swap(self, s: int, k: int, slot: int, new: int) -> int:
+        """Swap the side-s patient of bucket k's pair slot for position
+        new; returns the position it replaced."""
+        j = self.link[k][slot] if s else slot
+        old = int(self.slots[s][k][j])
+        self.slots[s][k][j] = new
+        self.sums[s] += self.values[s][k][new] - self.values[s][k][old]
+        d = self.blocks[1 - s][k][self.selected(1 - s, k)[slot]]
+        self.dist_sum += float(d[new]) - float(d[old])
+        return old
 
     def repair_bucket(self, k: int) -> bool:
         """Optimally re-pair bucket k's current selection; True if improved."""
-        ts, cs = self.selected(0, k), self.selected(1, k)
-        if len(ts) < 2:
+        if self.quotas[k] < 2:
             return False
-        sub = self.blocks[0][k][np.ix_(self.pos[0][ts], self.pos[1][cs])]
-        ri, ci = linear_sum_assignment(sub)
+        sub = self.blocks[0][k][np.ix_(self.selected(0, k), self.selected(1, k))]
+        ri, ci = linear_sum_assignment(sub)  # ri is 0, 1, ...
         new_cost = float(sub[ri, ci].sum())
         old_cost = float(np.trace(sub))
         if new_cost < old_cost - 1e-15:
-            for a, b in zip(ri, ci):
-                self.partner[0][ts[a]] = cs[b]
-                self.partner[1][cs[b]] = ts[a]
+            self.link[k] = self.link[k][ci]
             self.dist_sum += new_cost - old_cost
             return True
         return False
@@ -602,7 +581,7 @@ def _solve_heuristic(problem: MatchProblem, seed: int, move_budget: int) -> Matc
     T, C, quotas = _check_quota_feasibility(problem)
     n_sel = int(sum(quotas))
     if n_sel == 0:
-        return _build_solution(problem, np.array([], int), np.array([], int), [])
+        return _build_solution(problem)
     blocks = [problem.distance_matrix(T[k], C[k]) for k in range(len(quotas))]
     n_restarts = max(1, min(8, 200 // n_sel))
     best = None
@@ -619,11 +598,11 @@ def _solve_heuristic(problem: MatchProblem, seed: int, move_budget: int) -> Matc
 def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
     """One restart: fill, then sweep single swaps and bucket re-pairings
     until a sweep finds no improvement or move_budget evaluations are
-    spent. Each selected patient takes the best improving swap, where a
-    candidate replaces the running best only when it is better by more
+    spent. Each pair's side-s patient takes the best improving swap, where
+    a candidate replaces the running best only when it is better by more
     than 1e-12; an evaluation past the budget ends the search. The swaps
-    of up to SWAP_CHUNK selected patients are scored in one call and taken
-    in order; a swap changes the state, so scoring restarts after it."""
+    of up to SWAP_CHUNK pairs are scored in one call and taken in order; a
+    swap changes the state, so scoring restarts after it."""
     state.fill(rng)
     K = len(state.quotas)
     for k in range(K):
@@ -635,14 +614,13 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
         sweep_improved = False
         for k in range(K):
             for s in (0, 1):
-                pool = state.pools[s][k]
-                selected = state.selected(s, k)
-                unselected = pool[~np.isin(pool, selected)]
-                start = 0
-                while start < len(selected) and evals <= move_budget:
-                    chunk = selected[start:start + SWAP_CHUNK]
-                    scores = state.swap_objectives(s, np.array(chunk), unselected)
-                    for row, old in enumerate(chunk):
+                unselected = np.setdiff1d(np.arange(len(state.pools[s][k])),
+                                          state.selected(s, k))
+                start, q = 0, state.quotas[k]
+                while start < q and evals <= move_budget:
+                    chunk = np.arange(start, min(start + SWAP_CHUNK, q))
+                    scores = state.swap_objectives(s, k, chunk, unselected)
+                    for row, slot in enumerate(chunk.tolist()):
                         start += 1
                         n_scored = min(unselected.size, move_budget - evals)
                         # the one evaluation past the budget counts, unscored
@@ -653,8 +631,8 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
                             if trials[pos] < best_obj - 1e-12:
                                 best_pos, best_obj = pos, float(trials[pos])
                         if best_pos is not None:
-                            state.apply_swap(s, old, int(unselected[best_pos]))
-                            unselected[best_pos] = old
+                            unselected[best_pos] = state.apply_swap(
+                                s, k, slot, int(unselected[best_pos]))
                             current = best_obj
                             sweep_improved = True
                             break  # the later rows were scored before the swap
@@ -668,8 +646,7 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
             if evals > move_budget:
                 break
 
-    st, sc = (np.array(sel, int) for sel in state.sel)
-    slot = {ci: i for i, ci in enumerate(state.sel[1])}
-    pairing = [slot[state.partner[0][t]] for t in state.sel[0]]
-    return replace(_build_solution(state.p, st, sc, pairing), evals=evals,
+    buckets = [(pt[a], pc[b], link) for pt, pc, a, b, link in
+               zip(*state.pools, *state.slots, state.link)]
+    return replace(_build_solution(state.p, buckets), evals=evals,
                    budget_exhausted=evals > move_budget or sweep_improved)

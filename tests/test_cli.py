@@ -341,6 +341,9 @@ MALFORMED_MANIFESTS = {
     "list": lambda digest: "[]",
     "stage-without-artifacts": lambda digest: json.dumps(
         {"config_digest": digest, "stages": [{"name": "filter"}]}),
+    "artifact-outside-the-run": lambda digest: json.dumps(
+        {"config_digest": digest, "stages": [
+            {"name": "validate", "artifacts": {"km_x/../../secret.txt": "0" * 64}}]}),
 }
 
 

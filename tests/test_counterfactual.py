@@ -99,8 +99,9 @@ class TestRewardMatrix:
     def test_validation(self):
         with pytest.raises(ConfigError):
             RewardMatrix(("a",), np.array([[0.5, 0.5], [0.1, 0.2]]), HORIZON)
-        with pytest.raises(ConfigError):
-            RewardMatrix(("a",), np.array([[1.5, 0.5]]), HORIZON)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ConfigError):
+                RewardMatrix(("a",), np.array([[bad, 0.5]]), HORIZON)
 
 
 class TestConstrainRewards:

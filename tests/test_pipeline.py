@@ -442,7 +442,8 @@ def test_a_crafted_manifest_deletes_nothing_outside_the_run(mini_corpus, tmp_pat
             "../x": "0", str(outside): "0", "..": "0", "": "0"}}],
     }))
     cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
-    pipeline.run_pipeline(cfg, run, until="filter")
+    with pytest.raises(ArtifactError, match="malformed manifest.json"):
+        pipeline.run_pipeline(cfg, run, until="filter")
     assert outside.read_text() == "keep\n"
     assert (run / "kept.csv").exists()
 
