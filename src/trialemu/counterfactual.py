@@ -3,13 +3,16 @@
 One event-free-probability model is fit per treatment arm of the matched
 cohort. A weight rho >= 1 amplifies the loss of event-free patients in
 that arm, pushing the arm's mean predicted event-free rate upward; tuning
-picks the rho that aligns the mean with the trial target, absorbing
-residual (unobserved) confounding. Each fit is predicted once, over the
+bisects rho until the mean aligns with the trial target, absorbing
+residual (unobserved) confounding. A target the bisection cannot reach
+(beyond rho_max, or across a non-monotone or jumping response) raises
+``UnreachableTargetError``. Each fit is predicted once, over the
 whole matched cohort; those predictions are the arm's reward column.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +24,7 @@ from .errors import ConfigError, InsufficientDataError, UnreachableTargetError
 
 RHO_TOL_DEFAULT = 0.005
 RHO_MAX_DEFAULT = 5.0
-GRID_STEP = 0.05
+MAX_MIDPOINTS = 13  # after the fits at 1 and rho_max: at most 15 fits per arm
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,6 @@ class RewardMatrix:
             raise ConfigError("rewards must be an n x 2 matrix matching ids")
         if not np.all((r >= 0) & (r <= 1)):
             raise ConfigError("reward entries must lie in [0, 1]")
-
-    def column_means(self):
-        return float(self.rewards[:, 0].mean()), float(self.rewards[:, 1].mean())
 
 
 def _arm_training_data(matched: Cohort, arm: int, horizon: float):
@@ -100,7 +100,7 @@ class TuningTrace:
     rho_sequence: list
     hbar_sequence: list
     residuals: list
-    method: str = "bisection"
+    method: str = "bisection"  # the only method; tune.json still records it
 
     def record(self, rho, hbar, target):
         self.rho_sequence.append(float(rho))
@@ -113,92 +113,78 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
                 tol: float = RHO_TOL_DEFAULT, rho_max: float = RHO_MAX_DEFAULT,
                 trace: TuningTrace | None = None,
                 models: dict | None = None) -> float:
-    """Smallest explored rho whose arm mean estimate is within tol of the
-    target. Bisection assumes the mean responds monotonically to rho; a
-    detected violation falls back to a grid search over [1, rho_max].
+    """Bisect rho over [1, rho_max] until the arm's mean estimate is within
+    tol of the target, and return that rho.
+
+    The search fits at rho = 1, then at rho_max, then at up to
+    MAX_MIDPOINTS midpoints of the bracket, and stops at the first fit
+    within tol. A mean already at or above the target at rho = 1 returns 1:
+    rho never down-weights. It raises ``UnreachableTargetError`` when
+    rho_max leaves the mean below the target, when a midpoint's mean falls
+    outside its bracket's means (the response is not monotone in rho), and
+    when no midpoint lands within tol (the response jumps over the band).
 
     If ``models`` is given, the (model, predictions) pair fit at the
     returned rho is stored in it under (arm, rho), so that
     ``fit_counterfactuals`` need neither refit nor repredict it. Only the
-    fit nearest the target is held meanwhile; that is the one returned
-    except, at times, after a grid fallback."""
+    latest fit is held meanwhile."""
     if not 0.0 <= target_mu <= 1.0:
         raise ConfigError("target must be a probability")
     check_tuning(tol, rho_max)
     if trace is None:
         trace = TuningTrace([], [], [])
+    fit = None  # the latest (model, predictions)
 
-    evaluated: dict[float, float] = {}
-    kept = {}  # the (model, predictions) nearest the target so far, by rho
+    def mean_at(rho: float) -> float:
+        nonlocal fit
+        fit = None  # drop the previous fit before making the next
+        fit = _fit_and_predict(matched, arm, horizon, config, rho)
+        h = float(fit[1].mean())
+        trace.record(rho, h, target_mu)
+        return h
 
-    def hbar(rho: float) -> float:
-        if rho not in evaluated:
-            fit = _fit_and_predict(matched, arm, horizon, config, rho)
-            evaluated[rho] = h = float(fit[1].mean())
-            trace.record(rho, h, target_mu)
-            if all(abs(h - target_mu) < abs(evaluated[r] - target_mu) for r in kept):
-                kept.clear()
-                kept[rho] = fit
-        return evaluated[rho]
-
-    def chosen(rho: float) -> float:
-        if models is not None and rho in kept:
-            models[arm, rho] = kept[rho]
+    def accept(rho: float) -> float:
+        if models is not None:
+            models[arm, rho] = fit
         return rho
 
-    def monotone_violated() -> bool:
-        pts = sorted(evaluated.items())
-        return any(pts[i][1] > pts[i + 1][1] + 1e-9 for i in range(len(pts) - 1))
+    def unreachable(why: str) -> UnreachableTargetError:
+        return UnreachableTargetError(
+            f"arm {arm}: {why}",
+            residual=min(abs(m - target_mu) for m in (h_lo, h, h_hi)))
 
-    def smallest_in_tol():
-        ok = [r for r, h in evaluated.items() if abs(h - target_mu) <= tol]
-        return min(ok) if ok else None
-
-    h1 = hbar(1.0)
-    if h1 >= target_mu - tol:
+    lo, h_lo = 1.0, mean_at(1.0)
+    if h_lo >= target_mu - tol:
         # never down-weight below 1, even when already above the target
-        return chosen(1.0)
-    h_max = hbar(rho_max)
-    if h_max < target_mu - tol:
+        return accept(1.0)
+    rho = hi = rho_max
+    h = h_hi = mean_at(rho_max) if rho_max > 1.0 else h_lo  # 1 is fit already
+    if h_hi < target_mu - tol:
         raise UnreachableTargetError(
             f"arm {arm}: even rho={rho_max} leaves the mean estimate "
-            f"{target_mu - h_max:.4f} below the target (irreducible gap)",
-            residual=target_mu - h_max)
+            f"{target_mu - h_hi:.4f} below the target (irreducible gap)",
+            residual=target_mu - h_hi)
 
-    lo, hi = 1.0, rho_max
-    violated = False
-    for _ in range(13):  # 13 midpoints + the two endpoint fits = 15 refits
-        found = smallest_in_tol()
-        if found is not None:
-            return chosen(found)
-        mid = (lo + hi) / 2.0
-        h = hbar(mid)
-        if monotone_violated():
-            violated = True
-            break
+    midpoints = 0
+    while abs(h - target_mu) > tol:
+        if midpoints == MAX_MIDPOINTS:
+            raise unreachable(
+                f"{MAX_MIDPOINTS} midpoints brought the mean estimate no "
+                f"closer than {tol} to the target {target_mu}: it steps from "
+                f"{h_lo:.4f} at rho={lo:.6g} to {h_hi:.4f} at rho={hi:.6g}")
+        rho = (lo + hi) / 2.0
+        h = mean_at(rho)
+        midpoints += 1
+        if h_lo > h + 1e-9 or h > h_hi + 1e-9:
+            raise unreachable(
+                f"the mean estimate is not monotone in rho: {h:.4f} at "
+                f"rho={rho:.6g} lies outside {h_lo:.4f} at rho={lo:.6g} and "
+                f"{h_hi:.4f} at rho={hi:.6g}")
         if h < target_mu - tol:
-            lo = mid
+            lo, h_lo = rho, h
         else:
-            hi = mid
-    found = smallest_in_tol()
-    if found is not None and not violated:
-        return chosen(found)
-
-    if monotone_violated():
-        warnings.warn(f"arm {arm}: non-monotone weight response; grid fallback")
-    trace.method = "grid"
-    best_rho, best_resid = None, np.inf
-    rho = 1.0
-    while rho <= rho_max + 1e-9:
-        resid = abs(hbar(round(rho, 10)) - target_mu)
-        if resid < best_resid:
-            best_rho, best_resid = round(rho, 10), resid
-        rho += GRID_STEP
-    if best_resid > tol:
-        raise UnreachableTargetError(
-            f"arm {arm}: no rho in [1, {rho_max}] reaches the target within "
-            f"{tol} (best residual {best_resid:.4f})", residual=best_resid)
-    return chosen(best_rho)
+            hi, h_hi = rho, h
+    return accept(rho)
 
 
 def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMatrix:
@@ -208,11 +194,12 @@ def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMa
 
 
 def check_tuning(tol: float, rho_max: float) -> None:
-    """Reject a nonpositive tolerance or a weight ceiling below 1."""
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    if rho_max < 1.0:
-        raise ConfigError("rho_max must be >= 1")
+    """Reject a tolerance that is not positive (NaN included) and a weight
+    ceiling that is below 1 or not finite."""
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if not 1.0 <= rho_max < math.inf:
+        raise ConfigError(f"rho_max must be finite and >= 1, got {rho_max}")
 
 
 def check_constraint(factor: float | None, direction: str) -> None:

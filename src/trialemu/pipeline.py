@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -65,6 +66,9 @@ class MatchSection:
             raise ConfigError(f"unknown match mode {self.mode!r}")
         if self.move_budget < 0:
             raise ConfigError("move_budget must be >= 0")
+        for name in ("lambda_outcome", "lambda_covariate", "lambda_distance"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,17 @@ PIPELINE_CONFIG_ERRORS = {
     "negative-move-budget": ("match", "match: {move_budget: -5}", "match"),
     "tune-tol": ("tune", "tune: {arms: [0], tol: -1}", "tune"),
     "tune-rho-max": ("tune", "tune: {arms: [0], rho_max: 0.5}", "tune"),
+    "tune-tol-nan": ("tune", "tune: {arms: [0], tol: .nan}", "tune: tol"),
+    "tune-rho-max-nan": ("tune", "tune: {arms: [0], rho_max: .nan}",
+                         "tune: rho_max"),
+    "tune-rho-max-inf": ("tune", "tune: {arms: [0], rho_max: .inf}",
+                         "tune: rho_max"),
+    "match-lambda-nan": ("match", "match: {lambda_outcome: .nan}",
+                         "match: lambda_outcome"),
+    "match-lambda-inf": ("match", "match: {lambda_distance: .inf}",
+                         "match: lambda_distance"),
+    "match-lambda-negative": ("match", "match: {lambda_covariate: -0.5}",
+                              "match: lambda_covariate"),
     "duplicate-key": ("match", "match: {mode: heuristic}\nmatch: {move_budget: 5}",
                       "duplicate key 'match'"),
 }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trialemu import learner
+from trialemu import counterfactual, learner
 from trialemu.cohort import Cohort, CovariateSchema
 from trialemu.counterfactual import (
     RewardMatrix,
@@ -91,9 +91,8 @@ class TestRewardMatrix:
             matrix.rewards[:, 0], learner.predict_prob(pair.model0, X))
         np.testing.assert_array_equal(
             matrix.rewards[:, 1], learner.predict_prob(pair.model1, X))
-        m0, m1 = matrix.column_means()
-        assert m0 == pytest.approx(pair.hbar0, abs=1e-12)
-        assert m1 == pytest.approx(pair.hbar1, abs=1e-12)
+        assert matrix.rewards[:, 0].mean() == pytest.approx(pair.hbar0, abs=1e-12)
+        assert matrix.rewards[:, 1].mean() == pytest.approx(pair.hbar1, abs=1e-12)
         assert matrix.ids == tuple(matched.ids)
 
     def test_validation(self):
@@ -205,7 +204,61 @@ class TestTuneWeight:
         matched = make_matched()
         with pytest.raises(ConfigError):
             tune_weight(matched, 0, 1.5, HORIZON, CFG)
-        with pytest.raises(ConfigError):
-            tune_weight(matched, 0, 0.5, HORIZON, CFG, tol=0.0)
-        with pytest.raises(ConfigError):
-            tune_weight(matched, 0, 0.5, HORIZON, CFG, rho_max=0.5)
+        for bad in ({"tol": 0.0}, {"tol": np.nan}, {"rho_max": 0.5},
+                    {"rho_max": np.nan}, {"rho_max": np.inf}):
+            with pytest.raises(ConfigError):
+                tune_weight(matched, 0, 0.5, HORIZON, CFG, **bad)
+
+
+class TestBisectionOnAStandInResponse:
+    """The arm's mean estimate is set per rho by replacing the fit."""
+
+    def tune(self, monkeypatch, mean_at, target, **kwargs):
+        """tune_weight's rho (or error), trace and models when the single
+        prediction, and so the mean estimate, at rho is mean_at(rho)."""
+        monkeypatch.setattr(
+            counterfactual, "_fit_and_predict",
+            lambda matched, arm, horizon, config, rho: (
+                object(), np.array([mean_at(rho)])))
+        trace, models = TuningTrace([], [], []), {}
+        try:
+            rho = tune_weight(make_matched(), 0, target, HORIZON, CFG,
+                              trace=trace, models=models, **kwargs)
+        except UnreachableTargetError as exc:
+            rho = exc
+        return rho, trace.rho_sequence, models
+
+    def test_a_dip_at_the_first_midpoint_ends_after_three_fits(self, monkeypatch):
+        means = {1.0: 0.3, 5.0: 0.9, 3.0: 0.2}
+        err, rhos, models = self.tune(monkeypatch, means.__getitem__, 0.6)
+        assert isinstance(err, UnreachableTargetError)
+        assert err.exit_code == 5 and err.residual > 0
+        assert "not monotone" in str(err) and "0.2000 at rho=3" in str(err)
+        assert rhos == [1.0, 5.0, 3.0] and models == {}
+
+    def test_a_step_over_the_band_ends_after_fifteen_fits(self, monkeypatch):
+        err, rhos, models = self.tune(
+            monkeypatch, lambda rho: 0.3 if rho < 2.2 else 0.8, 0.55)
+        assert isinstance(err, UnreachableTargetError)
+        assert err.exit_code == 5 and err.residual == pytest.approx(0.25)
+        assert "13 midpoints" in str(err)
+        assert len(rhos) == 15 and rhos[:2] == [1.0, 5.0] and models == {}
+        assert max(r for r in rhos if r < 2.2) > 2.2 - 4 / 2**13
+
+    def test_a_linear_response_returns_the_bisection_rho(self, monkeypatch):
+        rho, rhos, models = self.tune(
+            monkeypatch, lambda rho: 0.3 + 0.1 * (rho - 1.0), 0.61)
+        assert rho == 4.125
+        assert rhos == [1.0, 5.0, 3.0, 4.0, 4.5, 4.25, 4.125]
+        assert list(models) == [(0, 4.125)]
+        assert models[0, 4.125][1][0] == pytest.approx(0.6125)
+
+    def test_a_target_met_at_rho_max_stops_there(self, monkeypatch):
+        rho, rhos, _ = self.tune(
+            monkeypatch, lambda rho: 0.3 + 0.1 * (rho - 1.0), 0.698)
+        assert rho == 5.0 and rhos == [1.0, 5.0]
+
+    def test_a_rho_max_of_one_fits_once(self, monkeypatch):
+        err, rhos, _ = self.tune(monkeypatch, lambda rho: 0.3, 0.6, rho_max=1.0)
+        assert isinstance(err, UnreachableTargetError)
+        assert "irreducible" in str(err) and rhos == [1.0]
