@@ -42,7 +42,6 @@ class RewardPair:
 class RewardMatrix:
     ids: tuple[str, ...]
     rewards: np.ndarray  # n x 2: column 0 = reward under control, 1 = treatment
-    horizon: float
 
     def __post_init__(self):
         r = np.asarray(self.rewards, dtype=float)
@@ -187,10 +186,10 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     return accept(rho)
 
 
-def reward_matrix(pair: RewardPair, matched: Cohort, horizon: float) -> RewardMatrix:
+def reward_matrix(pair: RewardPair, matched: Cohort) -> RewardMatrix:
     """The pair's reward columns, keyed by the ids of the matched cohort
     they were predicted over."""
-    return RewardMatrix(tuple(matched.ids), pair.rewards, horizon)
+    return RewardMatrix(tuple(matched.ids), pair.rewards)
 
 
 def check_tuning(tol: float, rho_max: float) -> None:
@@ -226,4 +225,4 @@ def constrain_rewards(matrix: RewardMatrix, factor: float,
     else:
         mask = r[:, 1] > r[:, 0]
         r[mask, 1] = factor * r[mask, 0]
-    return RewardMatrix(matrix.ids, r, matrix.horizon)
+    return RewardMatrix(matrix.ids, r)

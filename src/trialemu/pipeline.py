@@ -241,12 +241,11 @@ class _Run:
              for pid in (tid, cid)])
 
     def rewards(self, name: str) -> counterfactual.RewardMatrix:
-        """Parse a reward CSV; the horizon is the trial target's."""
+        """Parse a reward CSV."""
         rows = _read_rows(self.out / name)
         return counterfactual.RewardMatrix(
             ids=tuple(pid for pid, _r0, _r1 in rows),
-            rewards=np.array([(float(r0), float(r1)) for _pid, r0, r1 in rows]),
-            horizon=self.trial[0].horizon_months)
+            rewards=np.array([(float(r0), float(r1)) for _pid, r0, r1 in rows]))
 
 
 def _build_problem(run: _Run, risks: dict, quotas=None) -> stratify_match.MatchProblem:
@@ -254,15 +253,11 @@ def _build_problem(run: _Run, risks: dict, quotas=None) -> stratify_match.MatchP
     spec = stratify_match.BucketSpec(config.buckets)
     if quotas is not None:
         spec = spec.with_quotas(quotas)
-    treated = eligible.take(eligible.treatments() == 1)
-    untreated = eligible.take(eligible.treatments() == 0)
+    sides = [eligible.take(eligible.treatments() == arm) for arm in (1, 0)]
     return stratify_match.MatchProblem(
-        treated_ids=tuple(treated.ids),
-        treated_risks=np.array([risks[pid] for pid in treated.ids]),
-        treated_X=treated.covariate_matrix(),
-        untreated_ids=tuple(untreated.ids),
-        untreated_risks=np.array([risks[pid] for pid in untreated.ids]),
-        untreated_X=untreated.covariate_matrix(),
+        ids=tuple(tuple(side.ids) for side in sides),
+        risks=tuple(np.array([risks[pid] for pid in side.ids]) for side in sides),
+        X=tuple(side.covariate_matrix() for side in sides),
         buckets=spec,
         target=run.trial[0],
         covariate_names=config.schema.names,
@@ -315,12 +310,8 @@ def _stage_stratify(run: _Run):
         quotas = config.quotas
     else:
         quotas = stratify_match.default_quotas(problem)
-    counts = {
-        "treated": [int((problem.treated_bucket == k).sum())
-                    for k in range(problem.buckets.n_buckets)],
-        "untreated": [int((problem.untreated_bucket == k).sum())
-                      for k in range(problem.buckets.n_buckets)],
-    }
+    counts = {side: np.bincount(b, minlength=problem.buckets.n_buckets).tolist()
+              for side, b in zip(("treated", "untreated"), problem.bucket)}
     _write_json(run.new("stratify.json"), {
         "boundaries": list(config.buckets),
         "quotas": list(quotas),
@@ -338,7 +329,7 @@ def _stage_match(run: _Run):
     solution = stratify_match.solve(
         problem, mode=config.match.mode, seed=config.seed,
         move_budget=config.match.move_budget)
-    bucket_of = dict(zip(problem.treated_ids, problem.treated_bucket))
+    bucket_of = dict(zip(problem.ids[0], problem.bucket[0]))
     _write_rows(run.new("matches.csv"), ["treated_id", "untreated_id", "bucket"],
                 ([tid, cid, int(bucket_of[tid])] for tid, cid in solution.pairs))
     _write_json(run.new("match.json"), {
@@ -382,7 +373,7 @@ def _stage_tune(run: _Run):
         traces[str(arm)] = asdict(trace)
     pair = counterfactual.fit_counterfactuals(
         matched, horizon, cf_config, rho0=rhos[0], rho1=rhos[1], models=models)
-    matrix = counterfactual.reward_matrix(pair, matched, horizon)
+    matrix = counterfactual.reward_matrix(pair, matched)
     _write_rewards(run.new("rewards.csv"), matrix)
     _write_json(run.new("tune.json"), {
         "horizon_months": horizon,

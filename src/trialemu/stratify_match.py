@@ -11,13 +11,13 @@ one treated-by-untreated block per bucket. The greedy fill takes the pairs
 that a walk over a block in ascending distance order would take, found in
 rounds of mutually best pairs instead of by sorting the block. The local
 search scores every candidate swap of up to SWAP_CHUNK pairs in one
-vectorized expression. The heuristic's state is indexed by side (0
-treated, 1 untreated), so each move is written once and serves both arms.
-Each bucket keeps its selection as slots of positions within the bucket,
-one array per side, and a link that pairs treated slot i with an untreated
-slot: a swap writes one slot, and a re-pairing permutes the link. Both
-solvers build the solution from per-bucket (treated, untreated, link)
-triples.
+vectorized expression. The problem and the heuristic's state are indexed
+by side s (0 treated, 1 untreated), so each step is written once and
+serves both arms. Each bucket keeps its selection as slots of positions
+within the bucket, one array per side, and a link that pairs treated slot
+i with an untreated slot: a swap writes one slot, and a re-pairing permutes
+the link. Both solvers build the solution from per-bucket (treated,
+untreated, link) triples.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
 from .cohort import TrialTarget
-from .errors import ConfigError, InvalidSolutionError, TargetInfeasibleError
+from .errors import ConfigError, InvalidSolutionError, SchemaError, TargetInfeasibleError
 
 EXACT_SIZE_CAP = 10**5  # pair columns of the exact MILP
 
@@ -62,7 +62,7 @@ class BucketSpec:
 
 def assign_buckets(risks, spec: BucketSpec) -> np.ndarray:
     risks = np.asarray(risks, dtype=float)
-    if np.any((risks < 0) | (risks > 1)):
+    if not np.all((risks >= 0) & (risks <= 1)):
         raise ConfigError("risks must lie in [0, 1]")
     idx = np.searchsorted(np.asarray(spec.boundaries), risks, side="right") - 1
     return np.minimum(idx, spec.n_buckets - 1)
@@ -70,12 +70,14 @@ def assign_buckets(risks, spec: BucketSpec) -> np.ndarray:
 
 @dataclass
 class MatchProblem:
-    treated_ids: tuple[str, ...]
-    treated_risks: np.ndarray
-    treated_X: np.ndarray
-    untreated_ids: tuple[str, ...]
-    untreated_risks: np.ndarray
-    untreated_X: np.ndarray
+    """The matching problem, indexed by side s: 0 for treated, 1 for
+    untreated. ``ids[s]``, ``risks[s]`` and ``X[s]`` hold side s's patient
+    ids, baseline risks and covariate rows (one column per covariate name),
+    and ``bucket[s]`` each patient's risk bucket."""
+
+    ids: tuple[tuple[str, ...], tuple[str, ...]]
+    risks: tuple[np.ndarray, np.ndarray]
+    X: tuple[np.ndarray, np.ndarray]
     buckets: BucketSpec
     target: TrialTarget
     covariate_names: tuple[str, ...]
@@ -84,22 +86,31 @@ class MatchProblem:
     lambda_covariate: float = 1.0
     lambda_distance: float = 1.0
 
-    treated_bucket: np.ndarray = field(init=False)
-    untreated_bucket: np.ndarray = field(init=False)
+    bucket: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.treated_risks = np.asarray(self.treated_risks, dtype=float)
-        self.untreated_risks = np.asarray(self.untreated_risks, dtype=float)
-        self.treated_X = np.asarray(self.treated_X, dtype=float)
-        self.untreated_X = np.asarray(self.untreated_X, dtype=float)
-        self.treated_bucket = assign_buckets(self.treated_risks, self.buckets)
-        self.untreated_bucket = assign_buckets(self.untreated_risks, self.buckets)
+        self.ids = tuple(tuple(ids) for ids in self.ids)
+        self.risks = tuple(np.asarray(r, dtype=float) for r in self.risks)
+        self.X = tuple(np.asarray(X, dtype=float) for X in self.X)
+        m = len(self.covariate_names)
+        for side, ids, risks, X in zip(("treated", "untreated"),
+                                       self.ids, self.risks, self.X):
+            n = len(ids)
+            if risks.shape != (n,) or X.shape != (n, m):
+                raise SchemaError(
+                    f"{side}: {n} ids need {n} risks and a {n} x {m} covariate "
+                    f"matrix, got shapes {risks.shape} and {X.shape}")
+        self.bucket = tuple(assign_buckets(r, self.buckets) for r in self.risks)
         for name in self.distance_covariates:
             if name not in self.covariate_names:
                 raise ConfigError(f"distance covariate {name!r} not in schema")
         for name in self.target.covariate_targets:
             if name not in self.covariate_names:
                 raise ConfigError(f"covariate target {name!r} not in schema")
+
+    # perfbench/layer_trace.py reads these two
+    treated_ids = property(lambda self: self.ids[0])
+    untreated_ids = property(lambda self: self.ids[1])
 
     # event-risk target: trial targets are event-free rates, risks are event
     # probabilities, so the matcher aims mean risk at 1 - mu0.
@@ -108,20 +119,20 @@ class MatchProblem:
         return 1.0 - self.target.mu0
 
     def target_columns(self):
-        """(column index, arm0 target, arm1 target) per targeted covariate."""
-        out = []
-        for name, (a0, a1) in sorted(self.target.covariate_targets.items()):
-            out.append((self.covariate_names.index(name), a0, a1))
-        return out
+        """(column index, per-side targets) per targeted covariate: the
+        treated side aims at the arm-1 mean, the untreated side at the
+        arm-0 mean."""
+        return [(self.covariate_names.index(name), (a1, a0))
+                for name, (a0, a1) in sorted(self.target.covariate_targets.items())]
 
     def _scaled_distance_columns(self):
         """Treated and untreated distance covariates, standardized to unit
-        variance over the pooled problem population."""
+        variance over the pooled problem population (treated rows first)."""
         cols = [self.covariate_names.index(c) for c in self.distance_covariates]
-        pooled = np.vstack([self.treated_X[:, cols], self.untreated_X[:, cols]])
-        sd = pooled.std(axis=0)
+        sides = [X[:, cols] for X in self.X]
+        sd = np.vstack(sides).std(axis=0)
         sd[sd == 0] = 1.0
-        return self.treated_X[:, cols] / sd, self.untreated_X[:, cols] / sd
+        return tuple(side / sd for side in sides)
 
     def distance_matrix(self, treated=None, untreated=None) -> np.ndarray:
         """Squared Euclidean pair distances over the standardized distance
@@ -169,16 +180,11 @@ def default_quotas(problem: MatchProblem) -> tuple[int, ...]:
     largest common factor alpha such that the selected untreated patients'
     mean risk can reach the trial target within tolerance."""
     K = problem.buckets.n_buckets
-    n1 = np.array([(problem.treated_bucket == k).sum() for k in range(K)])
-    n0 = np.array([(problem.untreated_bucket == k).sum() for k in range(K)])
-    caps = np.minimum(n1, n0)
+    T, C = _bucket_members(problem)
+    caps = np.array([min(len(t), len(c)) for t, c in zip(T, C)])
     target = problem.risk_target
     tol = problem.target.tolerance_outcome
-
-    per_bucket_sorted = [
-        np.sort(problem.untreated_risks[problem.untreated_bucket == k])
-        for k in range(K)
-    ]
+    per_bucket_sorted = [np.sort(problem.risks[1][c]) for c in C]
 
     def feasible(quotas) -> bool:
         total = int(sum(quotas))
@@ -202,19 +208,16 @@ def default_quotas(problem: MatchProblem) -> tuple[int, ...]:
     )
 
 
-def _selection_terms(problem, sel_t_idx, sel_c_idx):
-    """Outcome and covariate absolute-deviation terms for a selection."""
-    n_sel = len(sel_t_idx)
-    wt = problem.treated_risks[sel_t_idx].mean()
-    wc = problem.untreated_risks[sel_c_idx].mean()
-    tgt = problem.risk_target
-    outcome_t = abs(tgt - wt)
-    outcome_c = abs(tgt - wc)
-    cov_t = cov_c = 0.0
-    for col, a0, a1 in problem.target_columns():
-        cov_t += abs(a1 - problem.treated_X[sel_t_idx, col].mean())
-        cov_c += abs(a0 - problem.untreated_X[sel_c_idx, col].mean())
-    return outcome_t, outcome_c, cov_t, cov_c, wt, wc, n_sel
+def _selection_terms(problem, sel):
+    """Per side, the outcome and covariate absolute-deviation terms and the
+    mean risk of the selection, sel[s] being side s's selected rows."""
+    mean_risk = [problem.risks[s][sel[s]].mean() for s in (0, 1)]
+    outcome = [abs(problem.risk_target - w) for w in mean_risk]
+    cov = [0.0, 0.0]
+    for col, targets in problem.target_columns():
+        for s in (0, 1):
+            cov[s] += abs(targets[s] - problem.X[s][sel[s], col].mean())
+    return outcome, cov, mean_risk
 
 
 def _distance_scale(problem, n_sel) -> float:
@@ -222,32 +225,30 @@ def _distance_scale(problem, n_sel) -> float:
     return 1.0 / (max(1, n_sel) * L)
 
 
-def _objective_from_terms(problem, outcome_t, outcome_c, cov_t, cov_c, dist_sum, n_sel):
+def _objective_from_terms(problem, outcome, cov, dist_sum, n_sel):
+    """outcome and cov hold the treated and the untreated term."""
     return (
-        problem.lambda_outcome * (outcome_t + outcome_c)
-        + problem.lambda_covariate * (cov_t + cov_c)
+        problem.lambda_outcome * (outcome[0] + outcome[1])
+        + problem.lambda_covariate * (cov[0] + cov[1])
         + problem.lambda_distance * dist_sum * _distance_scale(problem, n_sel)
     )
 
 
 def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
     """Validate constraints, then return the per-term objective breakdown."""
-    t_index = {pid: i for i, pid in enumerate(problem.treated_ids)}
-    c_index = {pid: j for j, pid in enumerate(problem.untreated_ids)}
+    index = [{pid: i for i, pid in enumerate(ids)} for ids in problem.ids]
     quotas = problem.buckets.quotas or (0,) * problem.buckets.n_buckets
-    seen_t, seen_c = set(), set()
+    seen, sel = (set(), set()), ([], [])
     per_bucket = [0] * problem.buckets.n_buckets
     for tid, cid in solution.pairs:
-        if tid not in t_index or cid not in c_index:
+        if tid not in index[0] or cid not in index[1]:
             raise InvalidSolutionError(f"unknown patient in pair ({tid}, {cid})")
-        if tid in seen_t:
-            raise InvalidSolutionError(f"treated {tid} matched more than once")
-        if cid in seen_c:
-            raise InvalidSolutionError(f"untreated {cid} matched more than once")
-        seen_t.add(tid)
-        seen_c.add(cid)
-        bk_t = problem.treated_bucket[t_index[tid]]
-        bk_c = problem.untreated_bucket[c_index[cid]]
+        for s, (side, pid) in enumerate((("treated", tid), ("untreated", cid))):
+            if pid in seen[s]:
+                raise InvalidSolutionError(f"{side} {pid} matched more than once")
+            seen[s].add(pid)
+            sel[s].append(index[s][pid])
+        bk_t, bk_c = (problem.bucket[s][sel[s][-1]] for s in (0, 1))
         if bk_t != bk_c:
             raise InvalidSolutionError(
                 f"pair ({tid}, {cid}) crosses buckets {bk_t} and {bk_c}")
@@ -263,21 +264,20 @@ def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
             "covariate_treated": 0.0, "covariate_untreated": 0.0,
             "pair_distance": 0.0, "total": 0.0, "n_sel": 0,
         }
-    sel_t = np.array([t_index[tid] for tid, _ in solution.pairs])
-    sel_c = np.array([c_index[cid] for _, cid in solution.pairs])
-    ot, oc, ct, cc, wt, wc, n_sel = _selection_terms(problem, sel_t, sel_c)
-    dist_sum = float(problem.pair_distances(sel_t, sel_c).sum())
-    total = _objective_from_terms(problem, ot, oc, ct, cc, dist_sum, n_sel)
+    sel = [np.array(rows) for rows in sel]
+    n_sel = len(solution.pairs)
+    outcome, cov, mean_risk = _selection_terms(problem, sel)
+    dist_sum = float(problem.pair_distances(*sel).sum())
     return {
-        "outcome_treated": ot,
-        "outcome_untreated": oc,
-        "covariate_treated": ct,
-        "covariate_untreated": cc,
+        "outcome_treated": outcome[0],
+        "outcome_untreated": outcome[1],
+        "covariate_treated": cov[0],
+        "covariate_untreated": cov[1],
         "pair_distance": dist_sum * _distance_scale(problem, n_sel),
-        "total": total,
+        "total": _objective_from_terms(problem, outcome, cov, dist_sum, n_sel),
         "n_sel": n_sel,
-        "mean_risk_treated": wt,
-        "mean_risk_untreated": wc,
+        "mean_risk_treated": mean_risk[0],
+        "mean_risk_untreated": mean_risk[1],
     }
 
 
@@ -285,10 +285,9 @@ def _build_solution(problem, buckets=()):
     """The solution of per-bucket (tk, ck, link) triples: treated patients
     tk, untreated patients ck, and tk[i] paired with ck[link[i]]. The
     achieved covariate means add the patients in the order given."""
-    pairs = sorted((problem.treated_ids[t], problem.untreated_ids[ck[j]])
+    pairs = sorted((problem.ids[0][t], problem.ids[1][ck[j]])
                    for tk, ck, link in buckets for t, j in zip(tk, link))
-    sel_t = np.array([t for tk, _, _ in buckets for t in tk], int)
-    sel_c = np.array([c for _, ck, _ in buckets for c in ck], int)
+    sel = [np.array([i for bucket in buckets for i in bucket[s]], int) for s in (0, 1)]
     sol = MatchSolution(tuple(pairs), 0.0, {}, {})
     breakdown = evaluate_objective(problem, sol)
     achieved = {
@@ -297,21 +296,19 @@ def _build_solution(problem, buckets=()):
         "covariate_means_treated": {},
         "covariate_means_untreated": {},
     }
-    if len(sel_t):
-        for col, _a0, _a1 in problem.target_columns():
+    if pairs:
+        for col, _targets in problem.target_columns():
             name = problem.covariate_names[col]
-            achieved["covariate_means_treated"][name] = float(
-                problem.treated_X[sel_t, col].mean())
-            achieved["covariate_means_untreated"][name] = float(
-                problem.untreated_X[sel_c, col].mean())
+            for s, side in enumerate(("treated", "untreated")):
+                achieved[f"covariate_means_{side}"][name] = float(
+                    problem.X[s][sel[s], col].mean())
     return MatchSolution(tuple(pairs), breakdown["total"], breakdown, achieved)
 
 
 def _bucket_members(problem):
+    """Per side, each bucket's rows in ascending order."""
     K = problem.buckets.n_buckets
-    T = [np.nonzero(problem.treated_bucket == k)[0] for k in range(K)]
-    C = [np.nonzero(problem.untreated_bucket == k)[0] for k in range(K)]
-    return T, C
+    return tuple([np.flatnonzero(b == k) for k in range(K)] for b in problem.bucket)
 
 
 def _check_quota_feasibility(problem):
@@ -364,28 +361,27 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
     grids = [np.meshgrid(T[k], C[k], indexing="ij") for k in range(K) if quotas[k]]
     ti = np.concatenate([t.ravel() for t, _ in grids])
     cj = np.concatenate([c.ravel() for _, c in grids])
-    n_x, n_t, n_c = ti.size, len(problem.treated_ids), len(problem.untreated_ids)
+    n_x, n_t, n_c = ti.size, *map(len, problem.ids)
     n_bin = n_x + n_t + n_c  # x, s and u lie in [0, 1]
-    s_col, u_col = n_x + np.arange(n_t), n_x + n_t + np.arange(n_c)
-    tgt, lam_o = problem.risk_target, problem.lambda_outcome
-    terms = [(s_col, problem.treated_risks, tgt, lam_o),
-             (u_col, problem.untreated_risks, tgt, lam_o)]
-    for col, a0, a1 in problem.target_columns():
-        terms.append((s_col, problem.treated_X[:, col], a1, problem.lambda_covariate))
-        terms.append((u_col, problem.untreated_X[:, col], a0, problem.lambda_covariate))
+    sel_col = (n_x + np.arange(n_t), n_x + n_t + np.arange(n_c))  # s, u
+    tgt, lam_o, lam_c = (problem.risk_target, problem.lambda_outcome,
+                         problem.lambda_covariate)
+    terms = [(sel_col[s], problem.risks[s], tgt, lam_o) for s in (0, 1)]
+    terms += [(sel_col[s], problem.X[s][:, col], targets[s], lam_c)
+              for col, targets in problem.target_columns() for s in (0, 1)]
 
     # rows: each patient's pairs sum to its s or u, each bucket selects its
     # quota of treated (its pairs then select as many untreated), and
     # sum(v*s) - p + m = n_sel*target per term
-    rows = [ti, n_t + cj, np.arange(n_t + n_c), n_t + n_c + problem.treated_bucket]
-    cols = [np.arange(n_x), np.arange(n_x), n_x + np.arange(n_t + n_c), s_col]
+    rows = [ti, n_t + cj, np.arange(n_t + n_c), n_t + n_c + problem.bucket[0]]
+    cols = [np.arange(n_x), np.arange(n_x), n_x + np.arange(n_t + n_c), sel_col[0]]
     vals = [np.ones(2 * n_x), -np.ones(n_t + n_c), np.ones(n_t)]
     rhs = [np.zeros(n_t + n_c), quotas]
     cost = [problem.lambda_distance * _distance_scale(problem, n_sel)
             * problem.pair_distances(ti, cj), np.zeros(n_t + n_c)]
-    for r, (sel_col, v, target, lam) in enumerate(terms):
-        rows.append(np.full(sel_col.size + 2, n_t + n_c + K + r))
-        cols += [sel_col, [n_bin + 2 * r, n_bin + 2 * r + 1]]
+    for r, (term_col, v, target, lam) in enumerate(terms):
+        rows.append(np.full(term_col.size + 2, n_t + n_c + K + r))
+        cols += [term_col, [n_bin + 2 * r, n_bin + 2 * r + 1]]
         vals += [v, [-1.0, 1.0]]
         rhs.append([n_sel * target])
         cost.append([lam / n_sel] * 2)
@@ -402,10 +398,10 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
     if res.status != 0:
         raise TargetInfeasibleError(f"exact solver found no optimum: {res.message}")
 
-    chosen = res.x[n_x:n_bin] > 0.5  # s, then u
+    chosen = [res.x[c] > 0.5 for c in sel_col]
     buckets = []
     for k in range(K):
-        tk, ck = T[k][chosen[T[k]]], C[k][chosen[n_t + C[k]]]
+        tk, ck = (rows[k][picked[rows[k]]] for rows, picked in zip((T, C), chosen))
         _, link = linear_sum_assignment(problem.distance_matrix(tk, ck))
         buckets.append((tk, ck, link))
     return _build_solution(problem, buckets)
@@ -483,14 +479,12 @@ class _HeurState:
         self.quotas = quotas
         self.n_sel = int(sum(quotas))
         cols = problem.target_columns()
-        arms = ((problem.treated_risks, problem.treated_X),
-                (problem.untreated_risks, problem.untreated_X))
         self.values = tuple(
-            [np.column_stack([risks[m]] + [X[m, c] for c, _, _ in cols]) for m in side]
-            for (risks, X), side in zip(arms, pools))
-        tgt = problem.risk_target
-        self.targets = (np.array([tgt] + [a1 for _, _, a1 in cols]),
-                        np.array([tgt] + [a0 for _, a0, _ in cols]))
+            [np.column_stack([problem.risks[s][m]]
+                             + [problem.X[s][m, c] for c, _ in cols]) for m in pools[s]]
+            for s in (0, 1))
+        self.targets = tuple(np.array([problem.risk_target] + [t[s] for _, t in cols])
+                             for s in (0, 1))
         empty = np.zeros(0, int)
         self.slots = ([empty] * len(quotas), [empty] * len(quotas))
         self.link = [empty] * len(quotas)
@@ -523,9 +517,9 @@ class _HeurState:
         entry is bitwise equal to the scalar evaluation of its own sums,
         since each step is elementwise."""
         dev = [abs(self.targets[s] - sums[s] / self.n_sel) for s in (0, 1)]
-        ct, cc = (sum((d[..., i] for i in range(1, d.shape[-1])), 0.0) for d in dev)
-        return _objective_from_terms(self.p, dev[0][..., 0], dev[1][..., 0],
-                                     ct, cc, dist_sum, self.n_sel)
+        cov = [sum((d[..., i] for i in range(1, d.shape[-1])), 0.0) for d in dev]
+        return _objective_from_terms(self.p, [d[..., 0] for d in dev], cov,
+                                     dist_sum, self.n_sel)
 
     def objective(self) -> float:
         return float(self._objective_from_sums(self.sums, self.dist_sum))

@@ -30,14 +30,26 @@ class KMCurve:
         return 1.0 if idx == 0 else float(self.survival[idx - 1])
 
 
-def km_curve(times, events) -> KMCurve:
-    """Product-limit estimator; at tied times events precede censorings."""
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    if times.size == 0:
-        raise UndefinedStatisticError("km_curve: empty input")
+def _survival_data(times, events):
+    """times as floats and events as ints, after checking that they pair
+    up, that every time is finite and >= 0 and every event is 0 or 1."""
+    times, events = np.asarray(times, dtype=float), np.asarray(events)
+    if times.ndim != 1 or times.shape != events.shape:
+        raise ValueError("times and events must be 1-D and of one length")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
+    if not np.all((events == 0) | (events == 1)):
+        raise ValueError("events must be 0 or 1")
+    return times, events.astype(int)
+
+
+def km_curve(times, events) -> KMCurve:
+    """Product-limit estimator; at tied times events precede censorings."""
+    times, events = _survival_data(times, events)
+    if times.size == 0:
+        raise UndefinedStatisticError("km_curve: empty input")
     order = np.argsort(times, kind="stable")
     times, events = times[order], events[order]
 
@@ -87,10 +99,8 @@ def chi2_sf_1df(x: float) -> float:
 
 def logrank(times0, events0, times1, events1):
     """Two-group log-rank test; returns (chi-square statistic, p-value)."""
-    times0 = np.asarray(times0, dtype=float)
-    times1 = np.asarray(times1, dtype=float)
-    events0 = np.asarray(events0, dtype=int)
-    events1 = np.asarray(events1, dtype=int)
+    times0, events0 = _survival_data(times0, events0)
+    times1, events1 = _survival_data(times1, events1)
     if times0.size == 0 or times1.size == 0:
         raise UndefinedStatisticError("logrank: both groups must be nonempty")
 

@@ -39,13 +39,12 @@ def _random_match_problem(rng):
         covariate_targets={"a": (float(rng.uniform(-1, 1)),
                                  float(rng.uniform(-1, 1)))},
     )
+    t_risks, t_X = rng.uniform(0, 1, n_t), rng.normal(size=(n_t, 2))
+    c_risks, c_X = rng.uniform(0, 1, n_c), rng.normal(size=(n_c, 2))
     problem = stratify_match.MatchProblem(
-        treated_ids=tuple(f"t{i}" for i in range(n_t)),
-        treated_risks=rng.uniform(0, 1, n_t),
-        treated_X=rng.normal(size=(n_t, 2)),
-        untreated_ids=tuple(f"c{j}" for j in range(n_c)),
-        untreated_risks=rng.uniform(0, 1, n_c),
-        untreated_X=rng.normal(size=(n_c, 2)),
+        ids=(tuple(f"t{i}" for i in range(n_t)), tuple(f"c{j}" for j in range(n_c))),
+        risks=(t_risks, c_risks),
+        X=(t_X, c_X),
         buckets=stratify_match.BucketSpec(boundaries),
         target=target,
         covariate_names=("a", "b"),
@@ -53,8 +52,7 @@ def _random_match_problem(rng):
     )
     quotas = []
     for k in range(problem.buckets.n_buckets):
-        cap = min(int((problem.treated_bucket == k).sum()),
-                  int((problem.untreated_bucket == k).sum()))
+        cap = min(int((b == k).sum()) for b in problem.bucket)
         quotas.append(int(rng.integers(0, cap + 1)))
     if sum(quotas) == 0:
         return None
@@ -69,15 +67,14 @@ def _brute_force_match(problem):
     quotas = problem.buckets.quotas
     per_bucket_options = []
     for k in range(K):
-        T = np.nonzero(problem.treated_bucket == k)[0]
-        C = np.nonzero(problem.untreated_bucket == k)[0]
+        T, C = (np.nonzero(b == k)[0] for b in problem.bucket)
         q = quotas[k]
         options = []
         for sel_t in itertools.combinations(T, q):
             for sel_c in itertools.combinations(C, q):
                 for perm in itertools.permutations(sel_c):
                     options.append([
-                        (problem.treated_ids[i], problem.untreated_ids[j])
+                        (problem.ids[0][i], problem.ids[1][j])
                         for i, j in zip(sel_t, perm)
                     ])
         per_bucket_options.append(options)
@@ -292,7 +289,7 @@ def test_constraining_never_decreases_treated_count(demo_run):
     previous = -1
     for c in (1.0, 0.9, 0.78, 0.6):
         matrix = constrain_rewards(
-            RewardMatrix(ids=ids, rewards=R.copy(), horizon=60.0), c)
+            RewardMatrix(ids=ids, rewards=R.copy()), c)
         tree = fit_policy_tree(X, matrix.rewards, cfg)
         n_treated = int(assign(tree, X)[0].sum())
         assert n_treated >= previous, f"c={c}: {n_treated} < {previous}"

@@ -85,7 +85,7 @@ class TestRewardMatrix:
     def test_rows_and_column_means(self):
         matched = make_matched()
         pair = fit_counterfactuals(matched, HORIZON, CFG)
-        matrix = reward_matrix(pair, matched, HORIZON)
+        matrix = reward_matrix(pair, matched)
         X = matched.covariate_matrix()
         np.testing.assert_array_equal(
             matrix.rewards[:, 0], learner.predict_prob(pair.model0, X))
@@ -97,16 +97,16 @@ class TestRewardMatrix:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RewardMatrix(("a",), np.array([[0.5, 0.5], [0.1, 0.2]]), HORIZON)
+            RewardMatrix(("a",), np.array([[0.5, 0.5], [0.1, 0.2]]))
         for bad in (1.5, np.nan):
             with pytest.raises(ConfigError):
-                RewardMatrix(("a",), np.array([[bad, 0.5]]), HORIZON)
+                RewardMatrix(("a",), np.array([[bad, 0.5]]))
 
 
 class TestConstrainRewards:
     def matrix(self, rows):
         ids = tuple(f"p{i}" for i in range(len(rows)))
-        return RewardMatrix(ids, np.array(rows, dtype=float), HORIZON)
+        return RewardMatrix(ids, np.array(rows, dtype=float))
 
     def test_control_preferring_row_is_scaled(self):
         out = constrain_rewards(self.matrix([[0.9, 0.8]]), 0.78)
@@ -190,7 +190,7 @@ class TestTuneWeight:
         monkeypatch.setattr(learner, "predict_prob", lambda model, X: (
             predicted.append(model) or real_predict(model, X)))
         pair = fit_counterfactuals(matched, HORIZON, CFG, rho0=rho, models=models)
-        matrix = reward_matrix(pair, matched, HORIZON)
+        matrix = reward_matrix(pair, matched)
         assert len(predicted) == 1 and predicted[0] is pair.model1  # arm 1 only
         np.testing.assert_array_equal(matrix.rewards, pair.rewards)
 

@@ -125,8 +125,8 @@ README_READS = {
     "stratify": {"eligible.csv", "trial"},
     "match": {"eligible.csv", "risks.csv", "stratify.json", "trial"},
     "tune": {"eligible.csv", "matches.csv", "trial"},
-    "constrain": {"rewards.csv", "trial"},
-    "tree": {"eligible.csv", "matches.csv", "rewards_constrained.csv", "trial"},
+    "constrain": {"rewards.csv"},
+    "tree": {"eligible.csv", "matches.csv", "rewards_constrained.csv"},
     "validate": {"eligible.csv", "matches.csv", "tree.json"},
 }
 

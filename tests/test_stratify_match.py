@@ -12,6 +12,7 @@ from trialemu.cohort import TrialTarget
 from trialemu.errors import (
     ConfigError,
     InvalidSolutionError,
+    SchemaError,
     TargetInfeasibleError,
 )
 from trialemu.stratify_match import (
@@ -37,14 +38,11 @@ def make_problem(t_risks, c_risks, boundaries, quotas, mu0=0.4,
     target = TrialTarget(horizon_months=60.0, mu0=mu0, mu1=0.5,
                          covariate_targets=cov_targets or {})
     return MatchProblem(
-        treated_ids=tuple(f"t{i}" for i in range(t_risks.size)),
-        treated_risks=t_risks,
-        treated_X=np.asarray(tX) if tX is not None
-        else np.zeros((t_risks.size, 1)),
-        untreated_ids=tuple(f"c{i}" for i in range(c_risks.size)),
-        untreated_risks=c_risks,
-        untreated_X=np.asarray(cX) if cX is not None
-        else np.zeros((c_risks.size, 1)),
+        ids=(tuple(f"t{i}" for i in range(t_risks.size)),
+             tuple(f"c{i}" for i in range(c_risks.size))),
+        risks=(t_risks, c_risks),
+        X=tuple(np.zeros((r.size, 1)) if X is None else np.asarray(X)
+                for r, X in ((t_risks, tX), (c_risks, cX))),
         buckets=BucketSpec(tuple(boundaries), tuple(quotas)),
         target=target,
         covariate_names=("x",),
@@ -72,6 +70,23 @@ class TestBuckets:
     def test_risks_outside_unit_interval(self):
         with pytest.raises(ConfigError):
             assign_buckets([1.1], BucketSpec((0.0, 1.0)))
+        for bad in (-0.1, 1.1, np.nan):
+            with pytest.raises(ConfigError):
+                assign_buckets([0.5, bad], BucketSpec((0.0, 1.0)))
+            with pytest.raises(ConfigError):
+                make_problem([0.5, bad], [0.5], (0.0, 1.0), (1,))
+            with pytest.raises(ConfigError):
+                make_problem([0.5], [0.5, bad], (0.0, 1.0), (1,))
+        # each side needs one risk and one covariate row per id
+        good = make_problem([0.5, 0.6], [0.5, 0.6], (0.0, 1.0), (1,))
+        for risks, X in [
+            (([0.5], [0.5, 0.6]), good.X),                       # risks short of ids
+            (good.risks, (np.zeros((2, 1)), np.zeros((3, 1)))),  # extra X row
+            (good.risks, (np.zeros((2, 2)), np.zeros((2, 1)))),  # extra column
+            (good.risks, (np.zeros(2), np.zeros((2, 1)))),       # X not a matrix
+        ]:
+            with pytest.raises(SchemaError):
+                replace(good, risks=risks, X=X)
 
     def test_default_quotas_caps_when_target_attainable(self):
         # every untreated risk sits exactly on the target, so alpha = 1
@@ -225,11 +240,9 @@ def golden_problem(seed, n_t, n_c, boundaries, share, dist=("a", "b"),
     quotas = [int(share * min((tb == k).sum(), (cb == k).sum()))
               for k in range(spec.n_buckets)]
     return MatchProblem(
-        treated_ids=tuple(f"t{i}" for i in range(n_t)),
-        treated_risks=t_risks, treated_X=rng.normal(size=(n_t, 3)),
-        untreated_ids=tuple(f"c{i}" for i in range(n_c)),
-        untreated_risks=c_risks,
-        untreated_X=rng.normal(0.3, 1.2, size=(n_c, 3)),
+        ids=(tuple(f"t{i}" for i in range(n_t)), tuple(f"c{i}" for i in range(n_c))),
+        risks=(t_risks, c_risks),
+        X=(rng.normal(size=(n_t, 3)), rng.normal(0.3, 1.2, size=(n_c, 3))),
         buckets=spec.with_quotas(quotas),
         target=TrialTarget(horizon_months=60.0, mu0=0.45, mu1=0.55,
                            covariate_targets={"a": (0.2, 0.0), "b": (0.5, -0.1)}),
@@ -325,9 +338,8 @@ def _heur_state(problem):
 def _side_values(problem, s, i):
     """Patient i of side s (0 treated, 1 untreated): its risk, then its
     targeted covariates."""
-    risks, X = ((problem.treated_risks, problem.treated_X),
-                (problem.untreated_risks, problem.untreated_X))[s]
-    return [float(risks[i])] + [float(X[i, c]) for c, _, _ in problem.target_columns()]
+    return [float(problem.risks[s][i])] + [
+        float(problem.X[s][i, c]) for c, _ in problem.target_columns()]
 
 
 def _pair_distance(full, s, i, j):

@@ -20,6 +20,19 @@ from trialemu.survival_stats import (
 )
 
 
+# (times, events, message) that km_curve and logrank reject
+INVALID_SURVIVAL_DATA = [
+    ([1.0, np.nan], [1, 1], "finite"),
+    ([1.0, np.inf], [1, 0], "finite"),
+    ([1.0, -2.0], [1, 1], ">= 0"),
+    ([1, 2, 3], [2, 0, 1], "0 or 1"),
+    ([1, 2], [0.5, 1], "0 or 1"),
+    ([1, 2], [np.nan, 1], "0 or 1"),
+    ([1, 2], [1, 0, 1], "one length"),
+    ([1, 2, 3], [1], "one length"),
+]
+
+
 class TestKaplanMeier:
     def test_no_censoring_steps(self):
         curve = km_curve([1, 2, 3], [1, 1, 1])
@@ -61,6 +74,11 @@ class TestKaplanMeier:
     def test_empty_input(self):
         with pytest.raises(UndefinedStatisticError):
             km_curve([], [])
+
+    @pytest.mark.parametrize("times, events, message", INVALID_SURVIVAL_DATA)
+    def test_invalid_input_rejected(self, times, events, message):
+        with pytest.raises(ValueError, match=message):
+            km_curve(times, events)
 
 
 class TestMedianSurvival:
@@ -107,6 +125,13 @@ class TestLogrank:
     def test_empty_group_is_undefined(self):
         with pytest.raises(UndefinedStatisticError):
             logrank([], [], [1], [1])
+
+    @pytest.mark.parametrize("times, events, message", INVALID_SURVIVAL_DATA)
+    def test_invalid_input_rejected(self, times, events, message):
+        with pytest.raises(ValueError, match=message):
+            logrank(times, events, [1, 2], [1, 0])
+        with pytest.raises(ValueError, match=message):
+            logrank([1, 2], [1, 0], times, events)
 
 
 class TestChi2:
