@@ -282,25 +282,17 @@ def apply_eligibility(cohort: Cohort, rules: list[EligibilityRule]) -> Eligibili
     return EligibilityResult(cohort.take(keep), exclusions)
 
 
-@dataclass(frozen=True)
-class HorizonLabels:
-    """Event-by-horizon labels; censored-before-horizon patients are excluded."""
-
-    ids: tuple[str, ...]
-    labels: np.ndarray  # 1 = event by horizon, 0 = event-free through horizon
-    excluded_ids: tuple[str, ...]
-
-
-def binarize_at_horizon(cohort: Cohort, horizon: float) -> HorizonLabels:
+def binarize_at_horizon(cohort: Cohort, horizon: float):
+    """(known, labels): a mask of the patients whose status at the horizon
+    is known, and their labels, 1 = event by horizon and 0 = event-free
+    through it. A patient censored before the horizon is not known."""
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
     times = cohort.times()
     event_by_horizon = (cohort.events() == 1) & (times <= horizon)
     # censored before horizon: label unknowable without IPCW
     known = event_by_horizon | (times > horizon)
-    return HorizonLabels(tuple(cohort._ids[known]),
-                         event_by_horizon[known].astype(int),
-                         tuple(cohort._ids[~known]))
+    return known, event_by_horizon[known].astype(int)
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,12 @@ def _arm_training_data(matched: Cohort, arm: int, horizon: float):
     arm_cohort = matched.take(matched.treatments() == arm)
     if len(arm_cohort) == 0:
         raise InsufficientDataError(f"matched cohort has no arm-{arm} patients")
-    hl = binarize_at_horizon(arm_cohort, horizon)
-    if len(hl.ids) == 0:
+    known, labels = binarize_at_horizon(arm_cohort, horizon)
+    if labels.size == 0:
         raise InsufficientDataError(
             f"arm {arm}: no patients with determinable horizon label")
-    X = arm_cohort.subset(hl.ids).covariate_matrix()
     # model target is event-free at horizon, so invert the event label
-    y = 1 - hl.labels
-    return X, y
+    return arm_cohort.take(known).covariate_matrix(), 1 - labels
 
 
 def _fit_and_predict(matched: Cohort, arm: int, horizon: float,

@@ -135,6 +135,8 @@ class PipelineConfig:
     tree: TreeSection = TreeSection()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         stratify_match.BucketSpec(self.buckets, self.quotas or ())
         self.schema  # CovariateSchema checks the names and kinds
 
@@ -294,10 +296,9 @@ def _stage_stratify(run: _Run):
     untreated = eligible.take(eligible.treatments() == 0)
     if len(untreated) == 0:
         raise InsufficientDataError("no untreated patients to fit the risk model")
-    hl = binarize_at_horizon(untreated, target.horizon_months)
-    train = untreated.subset(hl.ids)
+    known, labels = binarize_at_horizon(untreated, target.horizon_months)
     model = learner.fit(
-        train.covariate_matrix(), hl.labels, np.ones(len(hl.ids)),
+        untreated.take(known).covariate_matrix(), labels, np.ones(labels.size),
         replace(config.learner, seed=config.seed))
     run.new("xray_model.json").write_text(model.to_json() + "\n", encoding="utf-8")
 
@@ -316,8 +317,8 @@ def _stage_stratify(run: _Run):
         "boundaries": list(config.buckets),
         "quotas": list(quotas),
         "bucket_counts": counts,
-        "n_training": len(hl.ids),
-        "n_censored_excluded": len(hl.excluded_ids),
+        "n_training": labels.size,
+        "n_censored_excluded": int((~known).sum()),
     })
 
 
@@ -438,8 +439,8 @@ def _group_outcomes(run: _Run, mask: np.ndarray, label: str) -> dict:
     events = run.matched.events()
     treatments = run.matched.treatments()
     entry = {"n": int(mask.sum())}
-    for arm, arm_name in ((0, "control"), (1, "treated")):
-        sub = mask & (treatments == arm)
+    m0, m1 = mask & (treatments == 0), mask & (treatments == 1)
+    for sub, arm_name in ((m0, "control"), (m1, "treated")):
         entry[f"n_received_{arm_name}"] = int(sub.sum())
         if sub.any():
             curve = survival_stats.km_curve(times[sub], events[sub])
@@ -449,8 +450,6 @@ def _group_outcomes(run: _Run, mask: np.ndarray, label: str) -> dict:
                          for t, s, r, d in zip(curve.times, curve.survival,
                                                curve.at_risk, curve.events)))
             entry[f"median_{arm_name}"] = survival_stats.median_survival(curve)
-    m0 = mask & (treatments == 0)
-    m1 = mask & (treatments == 1)
     if m0.any() and m1.any() and events[mask].sum() > 0:
         chi2, p = survival_stats.logrank(
             times[m0], events[m0], times[m1], events[m1])

@@ -45,7 +45,7 @@ class BucketSpec:
         b = self.boundaries
         if len(b) < 2 or b[0] != 0.0 or b[-1] != 1.0:
             raise ConfigError("buckets must start at 0.0 and end at 1.0")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        if any(not b[i] < b[i + 1] for i in range(len(b) - 1)):
             raise ConfigError("buckets must be strictly ascending")
         if self.quotas and len(self.quotas) != self.n_buckets:
             raise ConfigError("quotas length must equal bucket count")

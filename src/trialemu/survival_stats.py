@@ -3,6 +3,10 @@
 Kaplan-Meier product-limit curves, two-group log-rank test, median
 survival, the MSK clinical risk score and JHH GAME score, and per-node
 treatment balance tests.
+
+Kaplan-Meier and log-rank both read one risk table: the rows are sorted
+by time once, and each distinct event time gets its at-risk and event
+counts from cumulative counts over the sorted rows.
 """
 
 from __future__ import annotations
@@ -45,40 +49,34 @@ def _survival_data(times, events):
     return times, events.astype(int)
 
 
+def _risk_table(times, events, group=None):
+    """The risk table of survival data: each distinct event time, sorted
+    ascending, with the number at risk (time >= t) and the number of events
+    at it; given a 0/1 group column, also the group's own two counts."""
+    order = np.argsort(times, kind="stable")
+    distinct, first = np.unique(times[order], return_index=True)
+    events = events[order]
+    table = [distinct, times.size - first, np.add.reduceat(events, first)]
+    if group is not None:
+        group = group[order]
+        table += [np.cumsum(group[::-1])[::-1][first],
+                  np.add.reduceat(events * group, first)]
+    hit = table[2] > 0
+    return [column[hit] for column in table]
+
+
 def km_curve(times, events) -> KMCurve:
     """Product-limit estimator; at tied times events precede censorings."""
     times, events = _survival_data(times, events)
     if times.size == 0:
         raise UndefinedStatisticError("km_curve: empty input")
-    order = np.argsort(times, kind="stable")
-    times, events = times[order], events[order]
-
-    out_t, out_s, out_r, out_d = [], [], [], []
-    s = 1.0
-    n = times.size
-    i = 0
-    at_risk = n
-    while i < n:
-        t = times[i]
-        j = i
-        d = 0
-        while j < n and times[j] == t:
-            d += events[j]
-            j += 1
-        if d > 0:
-            s *= 1.0 - d / at_risk
-            out_t.append(t)
-            out_s.append(s)
-            out_r.append(at_risk)
-            out_d.append(d)
-        at_risk -= j - i
-        i = j
+    event_times, at_risk, d = _risk_table(times, events)
     return KMCurve(
-        times=np.array(out_t),
-        survival=np.array(out_s),
-        at_risk=np.array(out_r, dtype=int),
-        events=np.array(out_d, dtype=int),
-        n=n,
+        times=event_times,
+        survival=np.cumprod(1.0 - d / at_risk),
+        at_risk=at_risk,
+        events=d,
+        n=times.size,
     )
 
 
@@ -97,6 +95,12 @@ def chi2_sf_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
+def _add_in_order(terms) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right as a loop's +=
+    adds them; np.sum adds pairwise and rounds differently."""
+    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+
+
 def logrank(times0, events0, times1, events1):
     """Two-group log-rank test; returns (chi-square statistic, p-value)."""
     times0, events0 = _survival_data(times0, events0)
@@ -104,28 +108,17 @@ def logrank(times0, events0, times1, events1):
     if times0.size == 0 or times1.size == 0:
         raise UndefinedStatisticError("logrank: both groups must be nonempty")
 
-    all_times = np.concatenate([times0, times1])
-    all_events = np.concatenate([events0, events1])
-    group = np.concatenate([np.zeros(times0.size, int), np.ones(times1.size, int)])
-    if all_events.sum() == 0:
+    times = np.concatenate([times0, times1])
+    events = np.concatenate([events0, events1])
+    group = np.repeat([0, 1], [times0.size, times1.size])
+    if events.sum() == 0:
         raise UndefinedStatisticError("logrank: no events in pooled data")
 
-    event_times = np.unique(all_times[all_events == 1])
-    o_minus_e = 0.0
-    var = 0.0
-    for t in event_times:
-        at_risk = all_times >= t
-        n_tot = int(at_risk.sum())
-        n1 = int((at_risk & (group == 1)).sum())
-        d_mask = (all_times == t) & (all_events == 1)
-        d_tot = int(d_mask.sum())
-        d1 = int((d_mask & (group == 1)).sum())
-        e1 = d_tot * n1 / n_tot
-        o_minus_e += d1 - e1
-        if n_tot > 1:
-            var += (
-                d_tot * (n1 / n_tot) * (1 - n1 / n_tot) * (n_tot - d_tot) / (n_tot - 1)
-            )
+    _, n, d, n1, d1 = _risk_table(times, events, group)
+    o_minus_e = _add_in_order(d1 - d * n1 / n)
+    v = n > 1  # a lone patient at risk adds no variance
+    share1 = n1[v] / n[v]
+    var = _add_in_order(d[v] * share1 * (1 - share1) * (n[v] - d[v]) / (n[v] - 1))
     if var == 0.0:
         return 0.0, 1.0
     stat = o_minus_e**2 / var

@@ -12,7 +12,8 @@ pipeline claim can be checked against known truth.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +21,13 @@ from .cohort import Cohort, CovariateSchema, TrialTarget
 from .config import build, read_yaml
 from .errors import ConfigError
 from .survival_stats import km_curve
+
+
+def _check_finite(config) -> None:
+    """ConfigError unless every float field of the dataclass is finite."""
+    for f in fields(config):
+        if f.type == "float" and not math.isfinite(getattr(config, f.name)):
+            raise ConfigError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,7 @@ class CovariateSpec:
     hazard_coef: float = 0.0  # effect on log-hazard per standardized unit
 
     def __post_init__(self):
+        _check_finite(self)
         if self.kind not in ("binary", "continuous"):
             raise ConfigError(f"unknown covariate kind {self.kind!r}")
         if self.kind == "binary" and not 0.0 <= self.p <= 1.0:
@@ -50,6 +59,7 @@ class SubgroupRule:
     multiplier: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.side not in ("<", ">="):
             raise ConfigError("subgroup side must be '<' or '>='")
         if self.multiplier <= 0:
@@ -75,6 +85,7 @@ class DGPConfig:
     tolerance_covariate: float = 0.03
 
     def __post_init__(self):
+        _check_finite(self)
         if self.n_obs < 1 or self.n_rct < 1:
             raise ConfigError("cohort sizes must be >= 1")
         if self.base_hazard <= 0 or self.treatment_multiplier <= 0:
@@ -85,6 +96,8 @@ class DGPConfig:
             raise ConfigError("invalid censoring settings")
         if self.horizon_months <= 0:
             raise ConfigError("horizon must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.subgroup is not None:
             names = [c.name for c in self.covariates]
             if self.subgroup.covariate not in names:

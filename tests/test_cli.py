@@ -124,6 +124,8 @@ PIPELINE_CONFIG_ERRORS = {
                           "tree.lookahed_width"),
     "yaml-syntax": ("cohort", "cohort: [x", "invalid YAML"),
     "buckets-descending": ("buckets", "buckets: [0, 0.7, 0.3, 1]", "buckets"),
+    "buckets-nan": ("buckets", "buckets: [0.0, .nan, 1.0]", "buckets"),
+    "negative-seed": ("seed", "seed: -1", "seed must be >= 0"),
     "quotas-length": ("quotas", "quotas: [20, 20, 20]", "quotas"),
     "constrain-direction": (
         "constrain", "constrain: {factor: 0.78, direction: sideways}",
@@ -228,6 +230,17 @@ GENERATOR_CONFIG_ERRORS = {
     "covariate-extra-key": (
         "covariates", "covariates: [{name: a, kind: binary, prob: 0.5}]",
         "covariates[0].prob"),
+    "negative-seed": ("seed", "seed: -1", "seed must be >= 0"),
+    "gamma-x-nan": ("gamma_x", "gamma_x: .nan", "gamma_x must be finite"),
+    "censoring-nan": ("censoring_hazard", "censoring_hazard: .nan",
+                      "censoring_hazard must be finite"),
+    "covariate-sd-nan": (
+        "covariates", "covariates: [{name: dfi_months, kind: continuous, sd: .nan}]",
+        "covariates[0]: sd must be finite"),
+    "subgroup-threshold-nan": (
+        "subgroup",
+        "subgroup: {covariate: dfi_months, threshold: .nan, side: '<', multiplier: 0.35}",
+        "subgroup: threshold must be finite"),
 }
 
 
@@ -241,6 +254,19 @@ def test_generator_config_errors_exit_2(tmp_path, key, line, named):
     assert result.exit_code == 2, result.output
     assert f"error: {dgp}: " in result.output
     assert named in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_negative_seed_option_exits_2(mini_corpus, tmp_path, command):
+    if command == "run":
+        cfg = write_yaml(tmp_path / "p.yaml", mini_pipeline_doc(mini_corpus))
+    else:
+        cfg = CONFIGS / "demo_dgp.yaml"
+    out = tmp_path / "out"
+    result = invoke(command, "--config", str(cfg), "--out", str(out), "--seed", "-1")
+    assert result.exit_code == 2, result.output
+    assert "seed must be >= 0" in result.output
+    assert not out.exists()
 
 
 def test_stage_quotas_auto_replaces_config_quotas(mini_run, mini_corpus, tmp_path):

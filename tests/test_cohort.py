@@ -185,18 +185,19 @@ def test_binarize_at_horizon_cases():
                     [0, 0, 0],
                     [1, 0, 0],            # ev: event before horizon
                     [30.0, 72.0, 40.0])   # ok: past horizon; cns: censored early
-    hl = binarize_at_horizon(cohort, 60.0)
-    assert dict(zip(hl.ids, hl.labels)) == {"ev": 1, "ok": 0}
-    assert hl.excluded_ids == ("cns",)
+    known, labels = binarize_at_horizon(cohort, 60.0)
+    assert dict(zip(cohort.take(known).ids, labels)) == {"ev": 1, "ok": 0}
+    assert cohort.take(~known).ids == ["cns"]
 
 
 def test_binarize_partitions_cohort():
     rng = np.random.default_rng(3)
     cohort = Cohort(SCHEMA, [f"p{i}" for i in range(50)], [[50.0, 3.0]] * 50,
                     [0] * 50, rng.integers(2, size=50), rng.uniform(0, 120, 50))
-    hl = binarize_at_horizon(cohort, 60.0)
-    assert len(hl.ids) + len(hl.excluded_ids) == len(cohort)
-    assert set(hl.ids).isdisjoint(hl.excluded_ids)
+    known, labels = binarize_at_horizon(cohort, 60.0)
+    assert known.shape == (len(cohort),) and labels.size == known.sum()
+    assert labels.size + (~known).sum() == len(cohort)
+    assert set(cohort.take(known).ids).isdisjoint(cohort.take(~known).ids)
 
 
 def test_binarize_requires_positive_horizon():

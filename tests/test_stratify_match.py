@@ -62,6 +62,8 @@ class TestBuckets:
             BucketSpec((0.1, 1.0))
         with pytest.raises(ConfigError):
             BucketSpec((0.0, 0.5, 0.5, 1.0))
+        with pytest.raises(ConfigError, match="ascending"):
+            BucketSpec((0.0, np.nan, 1.0))
         with pytest.raises(ConfigError):
             BucketSpec((0.0, 1.0), quotas=(1, 2))
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from trialemu.errors import UndefinedStatisticError
 from trialemu.survival_stats import (
+    KMCurve,
     RiskScoreInput,
     chi2_sf_1df,
     crs_score,
@@ -132,6 +133,121 @@ class TestLogrank:
             logrank(times, events, [1, 2], [1, 0])
         with pytest.raises(ValueError, match=message):
             logrank([1, 2], [1, 0], times, events)
+
+
+def _km_reference(times, events) -> KMCurve:
+    """The row-by-row product-limit loop the risk table replaced."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events).astype(int)
+    order = np.argsort(times, kind="stable")
+    times, events = times[order], events[order]
+
+    out_t, out_s, out_r, out_d = [], [], [], []
+    s = 1.0
+    n = times.size
+    i = 0
+    at_risk = n
+    while i < n:
+        t = times[i]
+        j = i
+        d = 0
+        while j < n and times[j] == t:
+            d += events[j]
+            j += 1
+        if d > 0:
+            s *= 1.0 - d / at_risk
+            out_t.append(t)
+            out_s.append(s)
+            out_r.append(at_risk)
+            out_d.append(d)
+        at_risk -= j - i
+        i = j
+    return KMCurve(
+        times=np.array(out_t),
+        survival=np.array(out_s),
+        at_risk=np.array(out_r, dtype=int),
+        events=np.array(out_d, dtype=int),
+        n=n,
+    )
+
+
+def _logrank_reference(times0, events0, times1, events1):
+    """The per-event-time rescan the risk table replaced."""
+    all_times = np.concatenate([np.asarray(times0, dtype=float),
+                                np.asarray(times1, dtype=float)])
+    all_events = np.concatenate([np.asarray(events0).astype(int),
+                                 np.asarray(events1).astype(int)])
+    group = np.concatenate([np.zeros(len(times0), int), np.ones(len(times1), int)])
+
+    event_times = np.unique(all_times[all_events == 1])
+    o_minus_e = 0.0
+    var = 0.0
+    for t in event_times:
+        at_risk = all_times >= t
+        n_tot = int(at_risk.sum())
+        n1 = int((at_risk & (group == 1)).sum())
+        d_mask = (all_times == t) & (all_events == 1)
+        d_tot = int(d_mask.sum())
+        d1 = int((d_mask & (group == 1)).sum())
+        e1 = d_tot * n1 / n_tot
+        o_minus_e += d1 - e1
+        if n_tot > 1:
+            var += (
+                d_tot * (n1 / n_tot) * (1 - n1 / n_tot) * (n_tot - d_tot) / (n_tot - 1)
+            )
+    if var == 0.0:
+        return 0.0, 1.0
+    stat = o_minus_e**2 / var
+    return float(stat), chi2_sf_1df(stat)
+
+
+def _seeded_groups(seed):
+    """Two groups of tied integer or continuous times, randomly censored."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for _ in range(2):
+        n = int(rng.integers(1, 40))
+        if seed % 2:
+            times = rng.integers(0, 6, n).astype(float)
+        else:
+            times = rng.exponential(10.0, n)
+        groups += [times, (rng.random(n) < rng.random()).astype(int)]
+    return groups
+
+
+# (times0, events0, times1, events1) edge cases for the risk table
+RISK_TABLE_CASES = {
+    "all-censored-group": ([1, 2, 3], [0, 0, 0], [2, 4], [1, 1]),
+    "single-rows": ([4], [1], [7], [0]),
+    "group-of-one": ([3], [1], [1, 3, 3, 5, 8], [0, 1, 0, 1, 1]),
+    "last-event-alone": ([1, 2, 3], [1, 0, 1], [2, 2], [1, 0]),
+    "negative-zero": ([-0.0, 0.0, 2.0], [1, 0, 1], [0.0, -0.0, 1.0], [1, 1, 0]),
+}
+
+
+class TestRiskTableMatchesLoops:
+    """km_curve and logrank give the bytes of the loops they replaced."""
+
+    @staticmethod
+    def _assert_same(times0, events0, times1, events1):
+        for times, events in ((times0, events0), (times1, events1)):
+            got, want = km_curve(times, events), _km_reference(times, events)
+            for name in ("times", "survival", "at_risk", "events"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, name
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert got.n == want.n
+        if sum(events0) + sum(events1) > 0:
+            assert repr(logrank(times0, events0, times1, events1)) == repr(
+                _logrank_reference(times0, events0, times1, events1))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_cases(self, seed):
+        self._assert_same(*_seeded_groups(seed))
+
+    @pytest.mark.parametrize("case", RISK_TABLE_CASES.values(), ids=RISK_TABLE_CASES)
+    def test_edge_cases(self, case):
+        self._assert_same(*case)
 
 
 class TestChi2:
