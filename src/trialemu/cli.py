@@ -57,10 +57,10 @@ def synth(config_path, seed, out_dir, with_truth):
     cfg = synthgen.load_dgp_config(config_path)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cohort, truth = synthgen.generate_observational(cfg)
     target, rct = synthgen.generate_rct_target(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_cohort(cohort, out / "observational.csv")
     save_cohort(rct, out / "rct.csv")
     save_trial_config(target, [], out / "trial.yaml")

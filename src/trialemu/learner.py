@@ -309,6 +309,8 @@ def fit(features, labels, weights, config: LearnerConfig,
     w = np.asarray(weights, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size or y.size != w.size:
         raise SchemaError("features/labels/weights shapes disagree")
+    if X.shape[1] == 0:
+        raise SchemaError("features must have at least one column")
     for name, values in (("features", X), ("labels", y), ("weights", w)):
         if not np.isfinite(values).all():
             raise SchemaError(f"{name} must be finite")

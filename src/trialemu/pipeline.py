@@ -138,7 +138,13 @@ class PipelineConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         stratify_match.BucketSpec(self.buckets, self.quotas or ())
-        self.schema  # CovariateSchema checks the names and kinds
+        if not self.covariates:
+            raise ConfigError("covariates must list at least one covariate")
+        names = self.schema.names  # CovariateSchema checks the names and kinds
+        for name in self.match.distance_covariates:
+            if name not in names:
+                raise ConfigError(
+                    f"match.distance_covariates: {name!r} is not among the covariates")
 
     @property
     def schema(self) -> CovariateSchema:

@@ -14,10 +14,10 @@ search scores every candidate swap of up to SWAP_CHUNK pairs in one
 vectorized expression. The problem and the heuristic's state are indexed
 by side s (0 treated, 1 untreated), so each step is written once and
 serves both arms. Each bucket keeps its selection as slots of positions
-within the bucket, one array per side, and a link that pairs treated slot
-i with an untreated slot: a swap writes one slot, and a re-pairing permutes
-the link. Both solvers build the solution from per-bucket (treated,
-untreated, link) triples.
+within the bucket, one array per side, aligned pair by pair: a swap writes
+one slot, and a re-pairing permutes the untreated slots. A solution is a
+function of its pairs: its breakdown and achieved means are summed in one
+pass over the sorted pair list.
 """
 
 from __future__ import annotations
@@ -209,15 +209,17 @@ def default_quotas(problem: MatchProblem) -> tuple[int, ...]:
 
 
 def _selection_terms(problem, sel):
-    """Per side, the outcome and covariate absolute-deviation terms and the
-    mean risk of the selection, sel[s] being side s's selected rows."""
+    """Per side, the outcome and covariate absolute-deviation terms, mean
+    risk and targeted covariate means (by name) of side s's rows sel[s]."""
     mean_risk = [problem.risks[s][sel[s]].mean() for s in (0, 1)]
     outcome = [abs(problem.risk_target - w) for w in mean_risk]
-    cov = [0.0, 0.0]
+    cov, means = [0.0, 0.0], ({}, {})
     for col, targets in problem.target_columns():
         for s in (0, 1):
-            cov[s] += abs(targets[s] - problem.X[s][sel[s], col].mean())
-    return outcome, cov, mean_risk
+            mean = problem.X[s][sel[s], col].mean()
+            means[s][problem.covariate_names[col]] = float(mean)
+            cov[s] += abs(targets[s] - mean)
+    return outcome, cov, mean_risk, means
 
 
 def _distance_scale(problem, n_sel) -> float:
@@ -235,7 +237,8 @@ def _objective_from_terms(problem, outcome, cov, dist_sum, n_sel):
 
 
 def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
-    """Validate constraints, then return the per-term objective breakdown."""
+    """Validate constraints, then return the per-term objective breakdown
+    and, given any pairs, each side's mean risk and covariate means."""
     index = [{pid: i for i, pid in enumerate(ids)} for ids in problem.ids]
     quotas = problem.buckets.quotas or (0,) * problem.buckets.n_buckets
     seen, sel = (set(), set()), ([], [])
@@ -266,7 +269,7 @@ def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
         }
     sel = [np.array(rows) for rows in sel]
     n_sel = len(solution.pairs)
-    outcome, cov, mean_risk = _selection_terms(problem, sel)
+    outcome, cov, mean_risk, means = _selection_terms(problem, sel)
     dist_sum = float(problem.pair_distances(*sel).sum())
     return {
         "outcome_treated": outcome[0],
@@ -278,31 +281,22 @@ def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
         "n_sel": n_sel,
         "mean_risk_treated": mean_risk[0],
         "mean_risk_untreated": mean_risk[1],
+        "covariate_means_treated": means[0],
+        "covariate_means_untreated": means[1],
     }
 
 
 def _build_solution(problem, buckets=()):
-    """The solution of per-bucket (tk, ck, link) triples: treated patients
-    tk, untreated patients ck, and tk[i] paired with ck[link[i]]. The
-    achieved covariate means add the patients in the order given."""
-    pairs = sorted((problem.ids[0][t], problem.ids[1][ck[j]])
-                   for tk, ck, link in buckets for t, j in zip(tk, link))
-    sel = [np.array([i for bucket in buckets for i in bucket[s]], int) for s in (0, 1)]
-    sol = MatchSolution(tuple(pairs), 0.0, {}, {})
-    breakdown = evaluate_objective(problem, sol)
-    achieved = {
-        "mean_risk_treated": breakdown.pop("mean_risk_treated", None),
-        "mean_risk_untreated": breakdown.pop("mean_risk_untreated", None),
-        "covariate_means_treated": {},
-        "covariate_means_untreated": {},
-    }
-    if pairs:
-        for col, _targets in problem.target_columns():
-            name = problem.covariate_names[col]
-            for s, side in enumerate(("treated", "untreated")):
-                achieved[f"covariate_means_{side}"][name] = float(
-                    problem.X[s][sel[s], col].mean())
-    return MatchSolution(tuple(pairs), breakdown["total"], breakdown, achieved)
+    """The solution of per-bucket (treated, untreated) patient arrays that
+    are aligned pair by pair; one evaluate_objective pass over the sorted
+    pairs gives its breakdown and achieved means."""
+    pairs = tuple(sorted((problem.ids[0][t], problem.ids[1][c])
+                         for tk, ck in buckets for t, c in zip(tk, ck)))
+    breakdown = evaluate_objective(problem, MatchSolution(pairs, 0.0, {}, {}))
+    achieved = {key: breakdown.pop(key, empty) for key, empty in (
+        ("mean_risk_treated", None), ("mean_risk_untreated", None),
+        ("covariate_means_treated", {}), ("covariate_means_untreated", {}))}
+    return MatchSolution(pairs, breakdown["total"], breakdown, achieved)
 
 
 def _bucket_members(problem):
@@ -402,8 +396,8 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
     buckets = []
     for k in range(K):
         tk, ck = (rows[k][picked[rows[k]]] for rows, picked in zip((T, C), chosen))
-        _, link = linear_sum_assignment(problem.distance_matrix(tk, ck))
-        buckets.append((tk, ck, link))
+        _, col = linear_sum_assignment(problem.distance_matrix(tk, ck))
+        buckets.append((tk, ck[col]))
     return _build_solution(problem, buckets)
 
 
@@ -457,11 +451,9 @@ class _HeurState:
     their pair distances, treated ``pools[0][k]`` as rows and untreated
     ``pools[1][k]`` as columns, and ``blocks[1][k]`` is its transpose.
     ``slots[s][k]`` holds the positions in ``pools[s][k]`` of bucket k's
-    selected side-s patients in fill order; a swap writes into one slot.
-    Pair i of bucket k is treated slot i with untreated slot
-    ``link[k][i]``, so a re-pairing only permutes ``link[k]``. The untreated
-    slots keep their fill order because the solution adds the achieved
-    means in slot order. ``values[s][k]`` holds the risk and targeted
+    selected side-s patients; pair i of bucket k is treated slot i with
+    untreated slot i. A swap writes into one slot, and a re-pairing
+    permutes ``slots[1][k]``. ``values[s][k]`` holds the risk and targeted
     covariates of ``pools[s][k]``, and ``sums[s]`` their running sums over
     the selection; with the running pair-distance sum they give a swap's
     objective without a full re-evaluation.
@@ -487,7 +479,6 @@ class _HeurState:
                              for s in (0, 1))
         empty = np.zeros(0, int)
         self.slots = ([empty] * len(quotas), [empty] * len(quotas))
-        self.link = [empty] * len(quotas)
         self.sums = np.zeros((2, len(cols) + 1))
         self.dist_sum = 0.0
 
@@ -504,7 +495,7 @@ class _HeurState:
                 cols = rng.choice(len(self.pools[1][k]), q, replace=False)
             else:
                 rows, cols = _greedy_pairs(self.blocks[0][k], q)
-            self.slots[0][k], self.slots[1][k], self.link[k] = rows, cols, np.arange(q)
+            self.slots[0][k], self.slots[1][k] = rows, cols
             for r, c in zip(rows.tolist(), cols.tolist()):
                 self.sums[0] += self.values[0][k][r]
                 self.sums[1] += self.values[1][k][c]
@@ -524,17 +515,13 @@ class _HeurState:
     def objective(self) -> float:
         return float(self._objective_from_sums(self.sums, self.dist_sum))
 
-    def selected(self, s: int, k: int) -> np.ndarray:
-        """Bucket k's selected side-s positions, in pair order."""
-        return self.slots[1][k][self.link[k]] if s else self.slots[0][k]
-
     def swap_objectives(self, s: int, k: int, slots, news) -> np.ndarray:
         """Objectives after swapping bucket k's side-s patient of each pair
         in slots for each unselected side-s position in news, one row per
         pair; each swapped sum is (sum + new) - old, and the pair-distance
         sum (dist_sum + d_new) - d_old."""
-        olds = self.selected(s, k)[slots]
-        d = self.blocks[1 - s][k][self.selected(1 - s, k)[slots]]
+        olds = self.slots[s][k][slots]
+        d = self.blocks[1 - s][k][self.slots[1 - s][k][slots]]
         sums = list(self.sums)
         sums[s] = (sums[s] + self.values[s][k][news]) - self.values[s][k][olds][:, None]
         dist = ((self.dist_sum + d[:, news])
@@ -544,11 +531,10 @@ class _HeurState:
     def apply_swap(self, s: int, k: int, slot: int, new: int) -> int:
         """Swap the side-s patient of bucket k's pair slot for position
         new; returns the position it replaced."""
-        j = self.link[k][slot] if s else slot
-        old = int(self.slots[s][k][j])
-        self.slots[s][k][j] = new
+        old = int(self.slots[s][k][slot])
+        self.slots[s][k][slot] = new
         self.sums[s] += self.values[s][k][new] - self.values[s][k][old]
-        d = self.blocks[1 - s][k][self.selected(1 - s, k)[slot]]
+        d = self.blocks[1 - s][k][self.slots[1 - s][k][slot]]
         self.dist_sum += float(d[new]) - float(d[old])
         return old
 
@@ -556,12 +542,12 @@ class _HeurState:
         """Optimally re-pair bucket k's current selection; True if improved."""
         if self.quotas[k] < 2:
             return False
-        sub = self.blocks[0][k][np.ix_(self.selected(0, k), self.selected(1, k))]
+        sub = self.blocks[0][k][np.ix_(self.slots[0][k], self.slots[1][k])]
         ri, ci = linear_sum_assignment(sub)  # ri is 0, 1, ...
         new_cost = float(sub[ri, ci].sum())
         old_cost = float(np.trace(sub))
         if new_cost < old_cost - 1e-15:
-            self.link[k] = self.link[k][ci]
+            self.slots[1][k] = self.slots[1][k][ci]
             self.dist_sum += new_cost - old_cost
             return True
         return False
@@ -609,7 +595,7 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
         for k in range(K):
             for s in (0, 1):
                 unselected = np.setdiff1d(np.arange(len(state.pools[s][k])),
-                                          state.selected(s, k))
+                                          state.slots[s][k])
                 start, q = 0, state.quotas[k]
                 while start < q and evals <= move_budget:
                     chunk = np.arange(start, min(start + SWAP_CHUNK, q))
@@ -640,7 +626,6 @@ def _heuristic_once(state: _HeurState, rng, move_budget: int) -> MatchSolution:
             if evals > move_budget:
                 break
 
-    buckets = [(pt[a], pc[b], link) for pt, pc, a, b, link in
-               zip(*state.pools, *state.slots, state.link)]
+    buckets = [(pt[a], pc[b]) for pt, pc, a, b in zip(*state.pools, *state.slots)]
     return replace(_build_solution(state.p, buckets), evals=evals,
                    budget_exhausted=evals > move_budget or sweep_improved)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohort import Cohort, CovariateSchema, TrialTarget
 from .config import build, read_yaml
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientDataError
 from .survival_stats import km_curve
 
 
@@ -96,6 +96,11 @@ class DGPConfig:
             raise ConfigError("invalid censoring settings")
         if self.horizon_months <= 0:
             raise ConfigError("horizon must be positive")
+        if self.horizon_months > self.max_followup_months:
+            raise ConfigError("horizon_months must not exceed max_followup_months")
+        for name in ("tolerance_outcome", "tolerance_covariate"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.subgroup is not None:
@@ -210,6 +215,9 @@ def generate_rct_target(config: DGPConfig):
     mus = []
     for arm in (0, 1):
         mask = treated == arm
+        if not mask.any():
+            raise InsufficientDataError(
+                f"simulated trial arm {arm} is empty at n_rct {config.n_rct}")
         curve = km_curve(times[mask], events[mask])
         mus.append(curve.survival_at(config.horizon_months))
 

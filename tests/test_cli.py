@@ -158,6 +158,10 @@ PIPELINE_CONFIG_ERRORS = {
                               "match: lambda_covariate"),
     "duplicate-key": ("match", "match: {mode: heuristic}\nmatch: {move_budget: 5}",
                       "duplicate key 'match'"),
+    "covariates-empty": ("covariates", "covariates: []", "covariates"),
+    "distance-covariate-unknown": (
+        "match", "match: {mode: heuristic, distance_covariates: [nope]}",
+        "match.distance_covariates: 'nope'"),
 }
 
 
@@ -241,6 +245,10 @@ GENERATOR_CONFIG_ERRORS = {
         "subgroup",
         "subgroup: {covariate: dfi_months, threshold: .nan, side: '<', multiplier: 0.35}",
         "subgroup: threshold must be finite"),
+    "horizon-beyond-followup": ("horizon_months", "horizon_months: 500",
+                                "horizon_months must not exceed max_followup_months"),
+    "tolerance-negative": ("tolerance_outcome", "tolerance_outcome: -1",
+                           "tolerance_outcome must be nonnegative"),
 }
 
 
@@ -250,10 +258,23 @@ def test_generator_config_errors_exit_2(tmp_path, key, line, named):
     dgp = tmp_path / "dgp.yaml"
     dgp.write_text(_doc_with(
         yaml.safe_load((CONFIGS / "hte_dgp.yaml").read_text()), key, line))
-    result = invoke("synth", "--config", str(dgp), "--out", str(tmp_path / "d"))
+    out = tmp_path / "d"
+    result = invoke("synth", "--config", str(dgp), "--out", str(out))
     assert result.exit_code == 2, result.output
     assert f"error: {dgp}: " in result.output
     assert named in result.output
+    assert not out.exists()
+
+
+def test_synth_with_an_empty_trial_arm_exits_3_and_writes_nothing(tmp_path):
+    dgp = tmp_path / "dgp.yaml"
+    dgp.write_text(_doc_with(
+        yaml.safe_load((CONFIGS / "demo_dgp.yaml").read_text()), "n_rct", "n_rct: 1"))
+    out = tmp_path / "d"
+    result = invoke("synth", "--config", str(dgp), "--out", str(out))
+    assert result.exit_code == 3, result.output
+    assert "is empty at n_rct 1" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "synth"])

@@ -117,6 +117,8 @@ def test_insufficient_data_and_shape_errors():
             LearnerConfig(min_leaf=5, bootstrap=False))
     with pytest.raises(SchemaError):
         fit([[0.0], [1.0]], [0, 1, 1], [1, 1], SMALL)
+    with pytest.raises(SchemaError, match="column"):
+        fit(np.empty((4, 0)), [0, 1, 0, 1], np.ones(4), SMALL)
     with pytest.raises(ConfigError):
         fit([[0.0], [1.0]], [0, 1], [1.0, 0.0], SMALL)
 

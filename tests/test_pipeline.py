@@ -47,7 +47,7 @@ MINI_RUN_SHA256 = {
     "km_recommended_treated.csv":
         "4f7d150ccb3a3db6d24e5ef8e023f4cef0fa79bab8ba616d735093c5bcc48665",
     "match.json":
-        "6ef95c0a0e25bcb3f6a281a87d06e73871e03e2fc1790e98e2438ecc4ddee0a1",
+        "869d5eddf0c7a46a93f8ad0e8647b0de0d65287285e7c7a58125fa34b9f68feb",
     "matches.csv":
         "446b122bfe62b7eca2cc34282a20d4a18937bfea8df6cdb4c5935ca9967cc4cb",
     "rewards.csv":

@@ -50,6 +50,20 @@ def make_problem(t_risks, c_risks, boundaries, quotas, mu0=0.4,
     )
 
 
+def small_instances():
+    """Fifteen seeded one-bucket problems with two to four patients a side."""
+    rng = np.random.default_rng(0)
+    for _ in range(15):
+        n_t, n_c = rng.integers(2, 5), rng.integers(2, 5)
+        q = int(rng.integers(1, min(n_t, n_c) + 1))
+        yield make_problem(
+            rng.uniform(0.2, 0.9, n_t), rng.uniform(0.2, 0.9, n_c),
+            (0.0, 1.0), (q,),
+            cov_targets={"x": (0.5, 0.5)},
+            tX=rng.normal(size=(n_t, 1)), cX=rng.normal(size=(n_c, 1)),
+            dist=("x",))
+
+
 class TestBuckets:
     def test_boundary_membership(self):
         spec = BucketSpec((0.0, 0.2, 0.6, 1.0))
@@ -181,16 +195,7 @@ class TestSolvers:
         assert set(sol.pairs) == {("t0", "c1"), ("t1", "c0")}
 
     def test_heuristic_matches_exact_on_small_instances(self):
-        rng = np.random.default_rng(0)
-        for _ in range(15):
-            n_t, n_c = rng.integers(2, 5), rng.integers(2, 5)
-            q = int(rng.integers(1, min(n_t, n_c) + 1))
-            problem = make_problem(
-                rng.uniform(0.2, 0.9, n_t), rng.uniform(0.2, 0.9, n_c),
-                (0.0, 1.0), (q,),
-                cov_targets={"x": (0.5, 0.5)},
-                tX=rng.normal(size=(n_t, 1)), cX=rng.normal(size=(n_c, 1)),
-                dist=("x",))
+        for problem in small_instances():
             exact = solve(problem, mode="exact")
             heur = solve(problem, mode="heuristic", seed=3)
             assert heur.objective <= exact.objective * 1.05 + 1e-9
@@ -268,48 +273,48 @@ GOLDEN_PROBLEMS = {
 # (problem, move budget): (n pairs, sha256 prefix of the pairs, objective,
 # sha256 prefix of the achieved means) of solve(seed=7); any change to the
 # search's float arithmetic, its evaluation count, or the order in which
-# the solution lists the selected patients shows here
+# the achieved means add the paired patients shows here
 HEURISTIC_GOLDEN = {
     ("one-bucket", 0): (7, "6c81a390be919548", 1.3042490104989721,
-                        "b812e74bf0b4ab2c"),
+                        "cde7f4c9baeb2ae2"),
     ("one-bucket", 1): (7, "5e14e71cd599ae2b", 1.227628974499126,
-                        "a615ab199951c971"),
+                        "b59e1c69d8f86c7e"),
     ("one-bucket", 7): (7, "93a7baae4e982510", 1.1920016492933978,
-                        "3fb5238ef43c1f95"),
+                        "34aee059aba26c31"),
     ("one-bucket", 50): (7, "6ca6e1dac033d1e4", 1.0307878323181294,
-                         "c290e10c19a694c8"),
+                         "91ed01af9f03adb9"),
     ("one-bucket", 10**6): (7, "9b393c96558cdc34", 0.43819174000253214,
-                            "ffcb18763117f9e6"),
+                            "36a0a275e555c882"),
     ("one-bucket-no-distance", 0): (7, "237210956b917896", 0.5581102298975921,
-                                    "b0423d235a36dec7"),
+                                    "1664b1f40700ed57"),
     ("one-bucket-no-distance", 1): (7, "237210956b917896", 0.5581102298975921,
-                                    "b0423d235a36dec7"),
+                                    "1664b1f40700ed57"),
     ("one-bucket-no-distance", 7): (7, "237210956b917896", 0.5581102298975921,
-                                    "b0423d235a36dec7"),
+                                    "1664b1f40700ed57"),
     ("one-bucket-no-distance", 50): (7, "5a0bb09be5f7aba8", 0.24664517799606755,
-                                     "8d15d4c69325e1e9"),
+                                     "a293ea97a8994193"),
     ("one-bucket-no-distance", 10**6): (7, "ce380c04c6cb373f", 0.06841087995991119,
-                                        "7d078dba0d21b6d9"),
+                                        "ef27b6928480b288"),
     ("three-buckets", 0): (26, "d532bb11fc986358", 0.5537191731736675,
-                           "cc8f18d0da2e046a"),
+                           "c18eb3bccb361428"),
     ("three-buckets", 1): (26, "d93d007bee7533ff", 0.5190434510133237,
-                           "6aca694a67b0c078"),
+                           "e273657fc5c9b904"),
     ("three-buckets", 7): (26, "db0ea0fb47e30ff6", 0.49277302540318535,
-                           "e024e9ee2007af8b"),
+                           "8eef83093647b270"),
     ("three-buckets", 50): (26, "028eb762ef6151c4", 0.40484459955459845,
-                            "fb63ae7329f133a0"),
+                            "e556a504da2945fb"),
     ("three-buckets", 10**6): (26, "f3c1de6bf319dc38", 0.14510876617559887,
-                               "55f62ab0096222b9"),
+                               "2d78472fda70b46c"),
     ("single-restart", 0): (225, "abf55ee2f9d9dc1d", 0.8421482475266814,
-                            "1423e604394c77e5"),
+                            "6e9113d951cd5c27"),
     ("single-restart", 1): (225, "abf55ee2f9d9dc1d", 0.8421482475266814,
-                            "1423e604394c77e5"),
+                            "6e9113d951cd5c27"),
     ("single-restart", 7): (225, "a92b1b08cecac201", 0.8370299924318745,
-                            "738b8977b74f3dfa"),
+                            "b7304acbdb703977"),
     ("single-restart", 50): (225, "335073c20654e3b2", 0.8313743432220267,
-                             "7847174d3a6ff159"),
+                             "cf1deb3a8ac5c175"),
     ("single-restart", 10**6): (225, "3a8c0ee6a8293aaa", 0.2805437482007893,
-                                "bc713632835fef6c"),
+                                "c4c418975cf121b5"),
 }
 
 
@@ -328,6 +333,36 @@ def test_heuristic_golden_outputs(name, budget):
     assert sol.budget_exhausted == (budget < 10**6)
     assert sol.evals <= budget + 1
     assert 0 <= sol.restart < max(1, min(8, 200 // len(sol.pairs)))
+
+
+def _means_over_pairs(problem, pairs):
+    """The achieved means recomputed from the pairs, in the order listed."""
+    means = {}
+    for s, side in enumerate(("treated", "untreated")):
+        rows = [problem.ids[s].index(pair[s]) for pair in pairs]
+        means[f"mean_risk_{side}"] = float(problem.risks[s][rows].mean())
+        means[f"covariate_means_{side}"] = {
+            name: float(problem.X[s][rows, problem.covariate_names.index(name)].mean())
+            for name in problem.target.covariate_targets}
+    return means
+
+
+@pytest.mark.parametrize("name, budget", HEURISTIC_GOLDEN,
+                         ids=[f"{n}-{b}" for n, b in HEURISTIC_GOLDEN])
+def test_heuristic_achieved_means_follow_the_sorted_pairs(name, budget):
+    problem = golden_problem(**GOLDEN_PROBLEMS[name])
+    sol = solve(problem, seed=7, move_budget=budget)
+    assert sol.pairs == tuple(sorted(sol.pairs))
+    assert sol.achieved == _means_over_pairs(problem, sol.pairs)  # bitwise
+
+
+def test_exact_achieved_means_follow_the_sorted_pairs():
+    one_bucket = [golden_problem(**GOLDEN_PROBLEMS[name])
+                  for name in ("one-bucket", "one-bucket-no-distance")]
+    for problem in [*small_instances(), *one_bucket]:
+        sol = solve(problem, mode="exact")
+        assert sol.pairs == tuple(sorted(sol.pairs))
+        assert sol.achieved == _means_over_pairs(problem, sol.pairs)  # bitwise
 
 
 def _heur_state(problem):
@@ -351,7 +386,7 @@ def _pair_distance(full, s, i, j):
 
 def _unselected(state, s, k):
     """Bucket k's unselected side-s positions, ascending."""
-    return np.setdiff1d(np.arange(len(state.pools[s][k])), state.selected(s, k))
+    return np.setdiff1d(np.arange(len(state.pools[s][k])), state.slots[s][k])
 
 
 @pytest.mark.parametrize("name", ["three-buckets", "one-bucket-no-distance"])
@@ -364,8 +399,8 @@ def test_swap_objectives_equal_scalar_evaluation(name):
         for s in (0, 1):
             pool = state.pools[s][k]
             news = _unselected(state, s, k)
-            for slot, old in enumerate(state.selected(s, k).tolist()):
-                j = state.pools[1 - s][k][state.selected(1 - s, k)[slot]]
+            for slot, old in enumerate(state.slots[s][k].tolist()):
+                j = state.pools[1 - s][k][state.slots[1 - s][k][slot]]
                 expected = []
                 for new in news.tolist():
                     sums = [row.tolist() for row in state.sums]
@@ -400,8 +435,6 @@ def test_greedy_fill_breaks_distance_ties_by_flat_index(seed):
     state = _heur_state(problem)  # one bucket: positions are patient indices
     state.fill(None)
     assert list(zip(state.slots[0][0].tolist(), state.slots[1][0].tolist())) == expected
-    assert list(zip(state.selected(0, 0).tolist(),
-                    state.selected(1, 0).tolist())) == expected
 
 
 @pytest.mark.parametrize("name", ["three-buckets", "one-bucket"])
@@ -416,7 +449,10 @@ def test_state_after_applied_swaps_matches_a_recomputation(name):
     for step in range(200):
         k = int(rng.integers(K))
         if step % 10 == 9:
+            before = [set(state.slots[s][k].tolist()) for s in (0, 1)]
             repaired += state.repair_bucket(k)
+            # a re-pairing changes who is paired with whom, not who is selected
+            assert [set(state.slots[s][k].tolist()) for s in (0, 1)] == before
             continue
         s = int(rng.integers(2))
         free = _unselected(state, s, k)
@@ -424,9 +460,7 @@ def test_state_after_applied_swaps_matches_a_recomputation(name):
             state.apply_swap(s, k, int(rng.integers(state.quotas[k])),
                              int(rng.choice(free)))
     assert repaired > 0
-    for k in range(K):
-        assert sorted(state.link[k].tolist()) == list(range(state.quotas[k]))
-    chosen = [np.concatenate([state.pools[s][k][state.selected(s, k)]
+    chosen = [np.concatenate([state.pools[s][k][state.slots[s][k]]
                               for k in range(K)]) for s in (0, 1)]
     for s in (0, 1):
         assert len(set(chosen[s].tolist())) == chosen[s].size == state.n_sel
@@ -585,8 +619,7 @@ def _reference_heuristic_once(state, rng, move_budget):
             if evals > move_budget:
                 break
 
-    buckets = [(pt[a], pc[b], link) for pt, pc, a, b, link in
-               zip(*state.pools, *state.slots, state.link)]
+    buckets = [(pt[a], pc[b]) for pt, pc, a, b in zip(*state.pools, *state.slots)]
     return replace(_build_solution(state.p, buckets), evals=evals,
                    budget_exhausted=evals > move_budget or sweep_improved)
 
