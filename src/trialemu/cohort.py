@@ -155,11 +155,6 @@ class TrialTarget:
             if not all(map(math.isfinite, means)):
                 raise ConfigError(f"covariate_targets: {name}: means must be finite")
 
-    def validate_against(self, schema: CovariateSchema):
-        for name in self.covariate_targets:
-            if name not in schema.names:
-                raise SchemaError(f"covariate target {name!r} not in schema")
-
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -313,13 +308,18 @@ def _arm_targets(value) -> dict:
 
 
 def load_trial_config(path, schema: CovariateSchema):
-    """Read the declarative trial config: TrialTarget plus eligibility rules."""
+    """Read the declarative trial config: TrialTarget plus eligibility rules.
+    A covariate target or rule field that the schema lacks is a config error."""
     doc = build(_TrialFile, read_yaml(path), path, covariate_targets=_arm_targets)
-    target = TrialTarget(**{f.name: getattr(doc, f.name) for f in fields(TrialTarget)})
-    target.validate_against(schema)
-    for rule in doc.eligibility:
+    for name in doc.covariate_targets:
+        if name not in schema.names:
+            raise ConfigError(
+                f"{path}: covariate_targets.{name}: {name!r} is not a covariate")
+    for i, rule in enumerate(doc.eligibility):
         if rule.field != "time" and rule.field not in schema.names:
-            raise SchemaError(f"eligibility rule references unknown field {rule.field!r}")
+            raise ConfigError(f"{path}: eligibility[{i}].field: {rule.field!r} "
+                              "is neither time nor a covariate")
+    target = TrialTarget(**{f.name: getattr(doc, f.name) for f in fields(TrialTarget)})
     return target, list(doc.eligibility)
 
 

@@ -14,28 +14,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import learner
 from .cohort import Cohort, binarize_at_horizon
-from .errors import ConfigError, InsufficientDataError, UnreachableTargetError
+from .errors import (
+    ConfigError,
+    InsufficientDataError,
+    InvalidRewardsError,
+    SchemaError,
+    UnreachableTargetError,
+)
 
 RHO_TOL_DEFAULT = 0.005
 RHO_MAX_DEFAULT = 5.0
 MAX_MIDPOINTS = 13  # after the fits at 1 and rho_max: at most 15 fits per arm
-
-
-@dataclass(frozen=True)
-class RewardPair:
-    model0: learner.FittedEnsemble
-    model1: learner.FittedEnsemble
-    rho0: float
-    rho1: float
-    rewards: np.ndarray  # n x 2: each model's predictions over the matched cohort
-    hbar0 = property(lambda self: float(self.rewards[:, 0].mean()))
-    hbar1 = property(lambda self: float(self.rewards[:, 1].mean()))
 
 
 @dataclass(frozen=True)
@@ -46,50 +41,9 @@ class RewardMatrix:
     def __post_init__(self):
         r = np.asarray(self.rewards, dtype=float)
         if r.ndim != 2 or r.shape[1] != 2 or r.shape[0] != len(self.ids):
-            raise ConfigError("rewards must be an n x 2 matrix matching ids")
+            raise SchemaError("rewards must be an n x 2 matrix matching ids")
         if not np.all((r >= 0) & (r <= 1)):
-            raise ConfigError("reward entries must lie in [0, 1]")
-
-
-def _arm_training_data(matched: Cohort, arm: int, horizon: float):
-    """Event-free labels and features for one arm of the matched cohort."""
-    arm_cohort = matched.take(matched.treatments() == arm)
-    if len(arm_cohort) == 0:
-        raise InsufficientDataError(f"matched cohort has no arm-{arm} patients")
-    known, labels = binarize_at_horizon(arm_cohort, horizon)
-    if labels.size == 0:
-        raise InsufficientDataError(
-            f"arm {arm}: no patients with determinable horizon label")
-    # model target is event-free at horizon, so invert the event label
-    return arm_cohort.take(known).covariate_matrix(), 1 - labels
-
-
-def _fit_and_predict(matched: Cohort, arm: int, horizon: float,
-                     config: learner.LearnerConfig, rho: float):
-    """One arm's model at weight rho, and its predictions over the whole
-    matched cohort."""
-    if rho < 1.0:
-        raise ConfigError("rho must be >= 1 (weights only amplify event-free outcomes)")
-    X, y = _arm_training_data(matched, arm, horizon)
-    weights = np.where(y == 1, rho, 1.0)
-    if np.unique(y).size < 2:
-        warnings.warn(f"arm {arm}: single-class outcome; constant-model fallback")
-    model = learner.fit(X, y, weights, config, on_single_class="constant")
-    return model, learner.predict_prob(model, matched.covariate_matrix())
-
-
-def fit_counterfactuals(matched: Cohort, horizon: float,
-                        config: learner.LearnerConfig,
-                        rho0: float = 1.0, rho1: float = 1.0,
-                        models: dict | None = None) -> RewardPair:
-    """Fit both arm models and predict each over the full matched cohort
-    (both arms). ``models`` maps (arm, rho) to the (model, predictions)
-    that ``tune_weight`` already made on the same inputs; those are reused."""
-    models = models or {}
-    (model0, r0), (model1, r1) = (
-        models.get((arm, rho)) or _fit_and_predict(matched, arm, horizon, config, rho)
-        for arm, rho in ((0, rho0), (1, rho1)))
-    return RewardPair(model0, model1, rho0, rho1, np.column_stack([r0, r1]))
+            raise InvalidRewardsError("reward entries must lie in [0, 1]")
 
 
 @dataclass
@@ -105,45 +59,82 @@ class TuningTrace:
         self.residuals.append(float(hbar - target))
 
 
+@dataclass(frozen=True)
+class ArmFit:
+    """One arm's model at weight rho and its predictions over the whole
+    matched cohort, which are the arm's reward column."""
+
+    rho: float
+    model: learner.FittedEnsemble
+    rewards: np.ndarray
+    trace: TuningTrace | None = None  # the bisection's, for a tuned arm
+
+    @property
+    def hbar(self) -> float:
+        return float(self.rewards.mean())
+
+
+def fit_arm(matched: Cohort, arm: int, horizon: float,
+            config: learner.LearnerConfig, rho: float = 1.0) -> ArmFit:
+    """Fit one arm's model at weight rho on the arm's patients whose status
+    at the horizon is known, and predict it over the whole matched cohort."""
+    if rho < 1.0:
+        raise ConfigError("rho must be >= 1 (weights only amplify event-free outcomes)")
+    arm_cohort = matched.take(matched.treatments() == arm)
+    if len(arm_cohort) == 0:
+        raise InsufficientDataError(f"matched cohort has no arm-{arm} patients")
+    known, labels = binarize_at_horizon(arm_cohort, horizon)
+    if labels.size == 0:
+        raise InsufficientDataError(
+            f"arm {arm}: no patients with determinable horizon label")
+    y = 1 - labels  # the model's label is event-free through the horizon
+    if np.unique(y).size < 2:
+        warnings.warn(f"arm {arm}: single-class outcome; constant-model fallback")
+    model = learner.fit(arm_cohort.take(known).covariate_matrix(), y,
+                        np.where(y == 1, rho, 1.0), config, on_single_class="constant")
+    return ArmFit(rho, model, learner.predict_prob(model, matched.covariate_matrix()))
+
+
+def fit_counterfactuals(matched: Cohort, horizon: float, config: learner.LearnerConfig,
+                        targets=(None, None), tol: float = RHO_TOL_DEFAULT,
+                        rho_max: float = RHO_MAX_DEFAULT) -> tuple[ArmFit, ...]:
+    """Each arm's fit, control first. An arm whose target mean is given is
+    tuned to it by ``tune_weight``; an arm whose target is None is fit at
+    rho = 1."""
+    return tuple(
+        fit_arm(matched, arm, horizon, config) if mu is None
+        else tune_weight(matched, arm, mu, horizon, config, tol=tol, rho_max=rho_max)
+        for arm, mu in enumerate(targets))
+
+
 def tune_weight(matched: Cohort, arm: int, target_mu: float,
                 horizon: float, config: learner.LearnerConfig,
                 tol: float = RHO_TOL_DEFAULT, rho_max: float = RHO_MAX_DEFAULT,
-                trace: TuningTrace | None = None,
-                models: dict | None = None) -> float:
+                trace: TuningTrace | None = None) -> ArmFit:
     """Bisect rho over [1, rho_max] until the arm's mean estimate is within
-    tol of the target, and return that rho.
+    tol of the target, and return the fit made at that rho, with the trace.
 
     The search fits at rho = 1, then at rho_max, then at up to
     MAX_MIDPOINTS midpoints of the bracket, and stops at the first fit
-    within tol. A mean already at or above the target at rho = 1 returns 1:
-    rho never down-weights. It raises ``UnreachableTargetError`` when
+    within tol. A mean already at or above the target at rho = 1 returns the
+    fit at 1: rho never down-weights. It raises ``UnreachableTargetError`` when
     rho_max leaves the mean below the target, when a midpoint's mean falls
     outside its bracket's means (the response is not monotone in rho), and
     when no midpoint lands within tol (the response jumps over the band).
-
-    If ``models`` is given, the (model, predictions) pair fit at the
-    returned rho is stored in it under (arm, rho), so that
-    ``fit_counterfactuals`` need neither refit nor repredict it. Only the
-    latest fit is held meanwhile."""
+    Only the latest fit is held meanwhile."""
     if not 0.0 <= target_mu <= 1.0:
         raise ConfigError("target must be a probability")
     check_tuning(tol, rho_max)
     if trace is None:
         trace = TuningTrace([], [], [])
-    fit = None  # the latest (model, predictions)
+    fit = None  # the latest ArmFit
 
     def mean_at(rho: float) -> float:
         nonlocal fit
         fit = None  # drop the previous fit before making the next
-        fit = _fit_and_predict(matched, arm, horizon, config, rho)
-        h = float(fit[1].mean())
-        trace.record(rho, h, target_mu)
-        return h
-
-    def accept(rho: float) -> float:
-        if models is not None:
-            models[arm, rho] = fit
-        return rho
+        fit = fit_arm(matched, arm, horizon, config, rho)
+        trace.record(rho, fit.hbar, target_mu)
+        return fit.hbar
 
     def unreachable(why: str) -> UnreachableTargetError:
         return UnreachableTargetError(
@@ -153,7 +144,7 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
     lo, h_lo = 1.0, mean_at(1.0)
     if h_lo >= target_mu - tol:
         # never down-weight below 1, even when already above the target
-        return accept(1.0)
+        return replace(fit, trace=trace)
     rho = hi = rho_max
     h = h_hi = mean_at(rho_max) if rho_max > 1.0 else h_lo  # 1 is fit already
     if h_hi < target_mu - tol:
@@ -181,13 +172,14 @@ def tune_weight(matched: Cohort, arm: int, target_mu: float,
             lo, h_lo = rho, h
         else:
             hi, h_hi = rho, h
-    return accept(rho)
+    return replace(fit, trace=trace)
 
 
-def reward_matrix(pair: RewardPair, matched: Cohort) -> RewardMatrix:
-    """The pair's reward columns, keyed by the ids of the matched cohort
-    they were predicted over."""
-    return RewardMatrix(tuple(matched.ids), pair.rewards)
+def reward_matrix(fits: tuple[ArmFit, ArmFit], matched: Cohort) -> RewardMatrix:
+    """The two arms' reward columns, control first, keyed by the ids of the
+    matched cohort they were predicted over."""
+    return RewardMatrix(tuple(matched.ids),
+                        np.column_stack([fit.rewards for fit in fits]))
 
 
 def check_tuning(tol: float, rho_max: float) -> None:

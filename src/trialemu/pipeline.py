@@ -109,6 +109,8 @@ class TreeSection:
     def __post_init__(self):
         if not self.grid:
             raise ConfigError("grid must contain at least one entry")
+        if not math.isfinite(self.min_effect):
+            raise ConfigError(f"min_effect must be finite, got {self.min_effect}")
         self.configs()  # PolicyTreeConfig checks each point's bounds
 
     def configs(self) -> tuple[PolicyTreeConfig, ...]:
@@ -364,31 +366,20 @@ def _stage_tune(run: _Run):
     config, matched = run.config, run.matched
     target, _rules = run.trial
     horizon = target.horizon_months
-    cf_config = replace(config.counterfactual_learner, seed=config.seed + 1)
-
-    rhos = {0: 1.0, 1: 1.0}
-    models = {}  # (arm, rho) -> the (model, predictions) tune_weight made there
-    traces = {}
-    for arm, mu in ((0, target.mu0), (1, target.mu1)):
-        if arm not in config.tune.arms:
-            continue
-        trace = counterfactual.TuningTrace([], [], [])
-        rhos[arm] = counterfactual.tune_weight(
-            matched, arm, mu, horizon, cf_config,
-            tol=config.tune.tol, rho_max=config.tune.rho_max, trace=trace,
-            models=models)
-        traces[str(arm)] = asdict(trace)
-    pair = counterfactual.fit_counterfactuals(
-        matched, horizon, cf_config, rho0=rhos[0], rho1=rhos[1], models=models)
-    matrix = counterfactual.reward_matrix(pair, matched)
-    _write_rewards(run.new("rewards.csv"), matrix)
+    fits = counterfactual.fit_counterfactuals(
+        matched, horizon, replace(config.counterfactual_learner, seed=config.seed + 1),
+        targets=[mu if arm in config.tune.arms else None
+                 for arm, mu in enumerate((target.mu0, target.mu1))],
+        tol=config.tune.tol, rho_max=config.tune.rho_max)
+    _write_rewards(run.new("rewards.csv"), counterfactual.reward_matrix(fits, matched))
     _write_json(run.new("tune.json"), {
         "horizon_months": horizon,
-        "rho0": pair.rho0, "rho1": pair.rho1,
-        "hbar0": pair.hbar0, "hbar1": pair.hbar1,
+        "rho0": fits[0].rho, "rho1": fits[1].rho,
+        "hbar0": fits[0].hbar, "hbar1": fits[1].hbar,
         "targets": {"mu0": target.mu0, "mu1": target.mu1},
-        "model_digests": [pair.model0.weight_digest, pair.model1.weight_digest],
-        "traces": traces,
+        "model_digests": [fit.model.weight_digest for fit in fits],
+        "traces": {str(arm): asdict(fit.trace)
+                   for arm, fit in enumerate(fits) if fit.trace is not None},
     })
 
 

@@ -162,6 +162,10 @@ PIPELINE_CONFIG_ERRORS = {
     "distance-covariate-unknown": (
         "match", "match: {mode: heuristic, distance_covariates: [nope]}",
         "match.distance_covariates: 'nope'"),
+    "tree-min-effect-nan": ("tree", "tree: {min_effect: .nan}",
+                            "tree: min_effect must be finite"),
+    "tree-min-effect-inf": ("tree", "tree: {min_effect: .inf}",
+                            "tree: min_effect must be finite"),
 }
 
 
@@ -206,6 +210,12 @@ TRIAL_CONFIG_ERRORS = {
     "target-nan": ("covariate_targets",
                    "covariate_targets: {x1: {arm0: .nan, arm1: 0.2}}",
                    "covariate_targets"),
+    "target-unknown-covariate": (
+        "covariate_targets", "covariate_targets: {zz: {arm0: 0.1, arm1: 0.2}}",
+        "covariate_targets.zz: 'zz' is not a covariate"),
+    "rule-unknown-field": (
+        "eligibility", "eligibility: [{field: zz, op: '<', value: 3}]",
+        "eligibility[0].field: 'zz'"),
 }
 
 

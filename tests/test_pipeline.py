@@ -188,6 +188,43 @@ def test_the_tune_stage_predicts_each_model_once(mini_corpus, tmp_path,
     assert len(calls) == 2  # tune.arms is []: one untuned model per arm
 
 
+@pytest.mark.parametrize("arms", [[1], [0, 1]])
+def test_tuned_fits_are_made_once(mini_corpus, tmp_path, monkeypatch, arms):
+    trial = yaml.safe_load((mini_corpus / "trial.yaml").read_text())
+    trial.update(mu0=0.66, mu1=0.68)  # above both arms' means at rho = 1
+    (tmp_path / "trial_high.yaml").write_text(yaml.safe_dump(trial))
+    doc = mini_pipeline_doc(mini_corpus)
+    doc.update(trial=str(tmp_path / "trial_high.yaml"), quotas=[20, 20],
+               tune={"arms": arms})
+    cfg = load_config(tmp_path, doc)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run, until="match")
+    calls = {"fit": 0, "predict_prob": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(learner, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(learner, name, counted)
+    pipeline.run_pipeline(cfg, run, until="tune")
+    tune = json.loads((run / "tune.json").read_text())
+    assert sorted(tune["traces"]) == [str(arm) for arm in arms]
+    assert all(tune[f"rho{arm}"] > 1.0 for arm in arms)  # each tuned arm bisects
+    fits = sum(len(t["rho_sequence"]) for t in tune["traces"].values()) + 2 - len(arms)
+    assert calls == {"fit": fits, "predict_prob": fits}
+
+
+def test_every_json_artifact_is_strict_json(mini_run):
+    out, _cfg = mini_run
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    paths = sorted(out.rglob("*.json"))
+    assert "manifest.json" in [path.name for path in paths]
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def test_until_stops_after_stage(mini_corpus, tmp_path):
     cfg = load_config(tmp_path, mini_pipeline_doc(mini_corpus))
     manifest = pipeline.run_pipeline(cfg, tmp_path / "run", until="match")
