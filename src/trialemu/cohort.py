@@ -149,15 +149,16 @@ class TrialTarget:
         if not (0.0 <= self.mu0 <= 1.0 and 0.0 <= self.mu1 <= 1.0):
             raise ConfigError("mu0/mu1 must be probabilities")
         for name in ("tolerance_outcome", "tolerance_covariate"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative")
         for name, means in self.covariate_targets.items():
             if not all(map(math.isfinite, means)):
                 raise ConfigError(f"covariate_targets: {name}: means must be finite")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,13 @@ class EligibilityRule:
     def __post_init__(self):
         if self.op == "in":
             if not (isinstance(self.value, (list, tuple))
-                    and all(map(_is_number, self.value))):
-                raise ConfigError(
-                    f"value must be a list of numbers for op 'in', got {self.value!r}")
+                    and all(map(_is_finite_number, self.value))):
+                raise ConfigError("value must be a list of finite numbers for op 'in', "
+                                  f"got {self.value!r}")
         elif self.op in _COMPARATORS:
-            if not _is_number(self.value):
-                raise ConfigError(
-                    f"value must be a number for op {self.op!r}, got {self.value!r}")
+            if not _is_finite_number(self.value):
+                raise ConfigError(f"value must be a finite number for op {self.op!r}, "
+                                  f"got {self.value!r}")
         else:
             raise ConfigError(f"unknown comparator {self.op!r}")
 

@@ -66,9 +66,7 @@ class MatchSection:
             raise ConfigError(f"unknown match mode {self.mode!r}")
         if self.move_budget < 0:
             raise ConfigError("move_budget must be >= 0")
-        for name in ("lambda_outcome", "lambda_covariate", "lambda_distance"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
+        stratify_match.check_lambdas(self)
 
 
 @dataclass(frozen=True)

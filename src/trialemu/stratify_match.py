@@ -13,7 +13,9 @@ rounds of mutually best pairs instead of by sorting the block. The local
 search scores every candidate swap of up to SWAP_CHUNK pairs in one
 vectorized expression. The problem and the heuristic's state are indexed
 by side s (0 treated, 1 untreated), so each step is written once and
-serves both arms. Each bucket keeps its selection as slots of positions
+serves both arms. The problem tabulates the objective's terms and the
+standardized distance covariates once; evaluation, the heuristic and the
+MILP read that table. Each bucket keeps its selection as slots of positions
 within the bucket, one array per side, aligned pair by pair: a swap writes
 one slot, and a re-pairing permutes the untreated slots. A solution is a
 function of its pairs: its breakdown and achieved means are summed in one
@@ -22,6 +24,7 @@ pass over the sorted pair list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,12 +71,27 @@ def assign_buckets(risks, spec: BucketSpec) -> np.ndarray:
     return np.minimum(idx, spec.n_buckets - 1)
 
 
+def check_lambdas(weights) -> None:
+    """Reject a lambda of weights that is negative or not finite; 0 passes."""
+    for name in ("lambda_outcome", "lambda_covariate", "lambda_distance"):
+        if not 0.0 <= getattr(weights, name) < math.inf:
+            raise ConfigError(f"{name} must be finite and >= 0")
+
+
 @dataclass
 class MatchProblem:
     """The matching problem, indexed by side s: 0 for treated, 1 for
     untreated. ``ids[s]``, ``risks[s]`` and ``X[s]`` hold side s's patient
     ids, baseline risks and covariate rows (one column per covariate name),
-    and ``bucket[s]`` each patient's risk bucket."""
+    and ``bucket[s]`` each patient's risk bucket. The objective's terms are
+    tabulated once: ``term_values[s]`` has one row per side-s patient, its
+    risk and then its targeted covariates in sorted name order
+    (``term_names``), and ``term_targets[s]`` their targets: the risk
+    target, then the arm-1 means treated or the arm-0 means untreated.
+    ``distance_columns[s]`` holds side s's distance covariates, standardized
+    once over the pooled population (treated rows first). All are built at
+    construction: change an input but the quotas with ``dataclasses.replace``.
+    The lambdas must be finite and nonnegative."""
 
     ids: tuple[tuple[str, ...], tuple[str, ...]]
     risks: tuple[np.ndarray, np.ndarray]
@@ -87,8 +105,13 @@ class MatchProblem:
     lambda_distance: float = 1.0
 
     bucket: tuple[np.ndarray, np.ndarray] = field(init=False)
+    term_names: tuple[str, ...] = field(init=False)
+    term_values: tuple[np.ndarray, np.ndarray] = field(init=False)
+    term_targets: tuple[np.ndarray, np.ndarray] = field(init=False)
+    distance_columns: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
+        check_lambdas(self)
         self.ids = tuple(tuple(ids) for ids in self.ids)
         self.risks = tuple(np.asarray(r, dtype=float) for r in self.risks)
         self.X = tuple(np.asarray(X, dtype=float) for X in self.X)
@@ -107,6 +130,19 @@ class MatchProblem:
         for name in self.target.covariate_targets:
             if name not in self.covariate_names:
                 raise ConfigError(f"covariate target {name!r} not in schema")
+        targeted = sorted(self.target.covariate_targets.items())
+        self.term_names = ("risk", *(name for name, _ in targeted))
+        cols = [self.covariate_names.index(name) for name in self.term_names[1:]]
+        self.term_values = tuple(np.column_stack([r, X[:, cols]])
+                                 for r, X in zip(self.risks, self.X))
+        self.term_targets = tuple(np.array([self.risk_target, *(
+            arms[1 - s] for _, arms in targeted)]) for s in (0, 1))
+        cols = [self.covariate_names.index(c) for c in self.distance_covariates]
+        sides = [X[:, cols] for X in self.X]
+        pooled = np.vstack(sides)  # a problem with no patients has no spread
+        sd = pooled.std(axis=0) if pooled.size else np.ones(len(cols))
+        sd[sd == 0] = 1.0
+        self.distance_columns = tuple(side / sd for side in sides)
 
     # perfbench/layer_trace.py reads these two
     treated_ids = property(lambda self: self.ids[0])
@@ -118,27 +154,11 @@ class MatchProblem:
     def risk_target(self) -> float:
         return 1.0 - self.target.mu0
 
-    def target_columns(self):
-        """(column index, per-side targets) per targeted covariate: the
-        treated side aims at the arm-1 mean, the untreated side at the
-        arm-0 mean."""
-        return [(self.covariate_names.index(name), (a1, a0))
-                for name, (a0, a1) in sorted(self.target.covariate_targets.items())]
-
-    def _scaled_distance_columns(self):
-        """Treated and untreated distance covariates, standardized to unit
-        variance over the pooled problem population (treated rows first)."""
-        cols = [self.covariate_names.index(c) for c in self.distance_covariates]
-        sides = [X[:, cols] for X in self.X]
-        sd = np.vstack(sides).std(axis=0)
-        sd[sd == 0] = 1.0
-        return tuple(side / sd for side in sides)
-
     def distance_matrix(self, treated=None, untreated=None) -> np.ndarray:
         """Squared Euclidean pair distances over the standardized distance
         covariates between the ``treated`` rows and the ``untreated`` rows
         (index arrays; each defaults to every row)."""
-        a, b = self._scaled_distance_columns()
+        a, b = self.distance_columns
         if treated is not None:
             a = a[treated]
         if untreated is not None:
@@ -147,7 +167,7 @@ class MatchProblem:
 
     def pair_distances(self, treated, untreated) -> np.ndarray:
         """The distance_matrix entries [treated[i], untreated[i]] alone."""
-        a, b = self._scaled_distance_columns()
+        a, b = self.distance_columns
         return _squared_distances(a[treated], b[untreated])
 
 
@@ -208,32 +228,22 @@ def default_quotas(problem: MatchProblem) -> tuple[int, ...]:
     )
 
 
-def _selection_terms(problem, sel):
-    """Per side, the outcome and covariate absolute-deviation terms, mean
-    risk and targeted covariate means (by name) of side s's rows sel[s]."""
-    mean_risk = [problem.risks[s][sel[s]].mean() for s in (0, 1)]
-    outcome = [abs(problem.risk_target - w) for w in mean_risk]
-    cov, means = [0.0, 0.0], ({}, {})
-    for col, targets in problem.target_columns():
-        for s in (0, 1):
-            mean = problem.X[s][sel[s], col].mean()
-            means[s][problem.covariate_names[col]] = float(mean)
-            cov[s] += abs(targets[s] - mean)
-    return outcome, cov, mean_risk, means
-
-
 def _distance_scale(problem, n_sel) -> float:
     L = max(1, len(problem.distance_covariates))
     return 1.0 / (max(1, n_sel) * L)
 
 
-def _objective_from_terms(problem, outcome, cov, dist_sum, n_sel):
-    """outcome and cov hold the treated and the untreated term."""
-    return (
-        problem.lambda_outcome * (outcome[0] + outcome[1])
-        + problem.lambda_covariate * (cov[0] + cov[1])
-        + problem.lambda_distance * dist_sum * _distance_scale(problem, n_sel)
-    )
+def _covariate_term(dev):
+    """dev's covariate deviations, summed from 0.0 in term order."""
+    return sum((dev[..., j] for j in range(1, dev.shape[-1])), 0.0)
+
+
+def _objective(problem, dev, dist_sum, n_sel):
+    """dev[s] holds side s's deviations, risk first, on the last axis."""
+    cov = _covariate_term(dev[0]) + _covariate_term(dev[1])
+    return (problem.lambda_outcome * (dev[0][..., 0] + dev[1][..., 0])
+            + problem.lambda_covariate * cov
+            + problem.lambda_distance * dist_sum * _distance_scale(problem, n_sel))
 
 
 def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
@@ -269,21 +279,20 @@ def evaluate_objective(problem: MatchProblem, solution: MatchSolution) -> dict:
         }
     sel = [np.array(rows) for rows in sel]
     n_sel = len(solution.pairs)
-    outcome, cov, mean_risk, means = _selection_terms(problem, sel)
+    # each term is averaged over its own 1-D slice: a column mean of the
+    # 2-D table would add the rows in another order
+    means = [np.array([problem.term_values[s][sel[s], j].mean()
+                       for j in range(len(problem.term_names))]) for s in (0, 1)]
+    dev = [abs(problem.term_targets[s] - means[s]) for s in (0, 1)]
     dist_sum = float(problem.pair_distances(*sel).sum())
-    return {
-        "outcome_treated": outcome[0],
-        "outcome_untreated": outcome[1],
-        "covariate_treated": cov[0],
-        "covariate_untreated": cov[1],
-        "pair_distance": dist_sum * _distance_scale(problem, n_sel),
-        "total": _objective_from_terms(problem, outcome, cov, dist_sum, n_sel),
-        "n_sel": n_sel,
-        "mean_risk_treated": mean_risk[0],
-        "mean_risk_untreated": mean_risk[1],
-        "covariate_means_treated": means[0],
-        "covariate_means_untreated": means[1],
-    }
+    breakdown = {"pair_distance": dist_sum * _distance_scale(problem, n_sel),
+                 "total": _objective(problem, dev, dist_sum, n_sel), "n_sel": n_sel}
+    for s, side in enumerate(("treated", "untreated")):
+        covariate_means = dict(zip(problem.term_names[1:], means[s][1:].tolist()))
+        breakdown |= {f"outcome_{side}": dev[s][0], f"mean_risk_{side}": means[s][0],
+                      f"covariate_{side}": _covariate_term(dev[s]),
+                      f"covariate_means_{side}": covariate_means}
+    return breakdown
 
 
 def _build_solution(problem, buckets=()):
@@ -358,11 +367,9 @@ def _solve_exact(problem: MatchProblem) -> MatchSolution:
     n_x, n_t, n_c = ti.size, *map(len, problem.ids)
     n_bin = n_x + n_t + n_c  # x, s and u lie in [0, 1]
     sel_col = (n_x + np.arange(n_t), n_x + n_t + np.arange(n_c))  # s, u
-    tgt, lam_o, lam_c = (problem.risk_target, problem.lambda_outcome,
-                         problem.lambda_covariate)
-    terms = [(sel_col[s], problem.risks[s], tgt, lam_o) for s in (0, 1)]
-    terms += [(sel_col[s], problem.X[s][:, col], targets[s], lam_c)
-              for col, targets in problem.target_columns() for s in (0, 1)]
+    terms = [(sel_col[s], problem.term_values[s][:, j], problem.term_targets[s][j],
+              problem.lambda_covariate if j else problem.lambda_outcome)
+             for j in range(len(problem.term_names)) for s in (0, 1)]
 
     # rows: each patient's pairs sum to its s or u, each bucket selects its
     # quota of treated (its pairs then select as many untreated), and
@@ -453,10 +460,10 @@ class _HeurState:
     ``slots[s][k]`` holds the positions in ``pools[s][k]`` of bucket k's
     selected side-s patients; pair i of bucket k is treated slot i with
     untreated slot i. A swap writes into one slot, and a re-pairing
-    permutes ``slots[1][k]``. ``values[s][k]`` holds the risk and targeted
-    covariates of ``pools[s][k]``, and ``sums[s]`` their running sums over
-    the selection; with the running pair-distance sum they give a swap's
-    objective without a full re-evaluation.
+    permutes ``slots[1][k]``. ``values[s][k]`` holds the term table rows of
+    ``pools[s][k]``, and ``sums[s]`` their running sums over the selection;
+    with the running pair-distance sum they give a swap's objective without
+    a full re-evaluation.
     ``swap_objectives`` scores every candidate for a chunk of pairs, one row
     each, in one numpy expression. ``fill`` adds the greedy pairs in the
     order a walk by ascending distance meets them, so the running sums are
@@ -470,16 +477,10 @@ class _HeurState:
         self.blocks = (blocks, [b.T for b in blocks])
         self.quotas = quotas
         self.n_sel = int(sum(quotas))
-        cols = problem.target_columns()
-        self.values = tuple(
-            [np.column_stack([problem.risks[s][m]]
-                             + [problem.X[s][m, c] for c, _ in cols]) for m in pools[s]]
-            for s in (0, 1))
-        self.targets = tuple(np.array([problem.risk_target] + [t[s] for _, t in cols])
-                             for s in (0, 1))
+        self.values = tuple([problem.term_values[s][m] for m in pools[s]] for s in (0, 1))
         empty = np.zeros(0, int)
         self.slots = ([empty] * len(quotas), [empty] * len(quotas))
-        self.sums = np.zeros((2, len(cols) + 1))
+        self.sums = np.zeros((2, len(problem.term_names)))
         self.dist_sum = 0.0
 
     def fill(self, rng) -> None:
@@ -507,10 +508,8 @@ class _HeurState:
         side one per candidate, a 3-D side one per (pair, candidate). Every
         entry is bitwise equal to the scalar evaluation of its own sums,
         since each step is elementwise."""
-        dev = [abs(self.targets[s] - sums[s] / self.n_sel) for s in (0, 1)]
-        cov = [sum((d[..., i] for i in range(1, d.shape[-1])), 0.0) for d in dev]
-        return _objective_from_terms(self.p, [d[..., 0] for d in dev], cov,
-                                     dist_sum, self.n_sel)
+        dev = [abs(self.p.term_targets[s] - sums[s] / self.n_sel) for s in (0, 1)]
+        return _objective(self.p, dev, dist_sum, self.n_sel)
 
     def objective(self) -> float:
         return float(self._objective_from_sums(self.sums, self.dist_sum))

@@ -207,6 +207,19 @@ TRIAL_CONFIG_ERRORS = {
     "horizon-inf": ("horizon_months", "horizon_months: .inf", "horizon_months"),
     "negative-tolerance": ("tolerance_outcome", "tolerance_outcome: -0.5",
                            "tolerance_outcome"),
+    "infinite-tolerance": ("tolerance_outcome", "tolerance_outcome: .inf",
+                           "tolerance_outcome must be finite"),
+    "nan-tolerance": ("tolerance_covariate", "tolerance_covariate: .nan",
+                      "tolerance_covariate must be finite"),
+    "rule-value-nan": (
+        "eligibility", "eligibility: [{field: x1, op: '<=', value: .nan}]",
+        "eligibility[0]: value must be a finite number"),
+    "rule-value-inf": (
+        "eligibility", "eligibility: [{field: x1, op: '>', value: -.inf}]",
+        "eligibility[0]: value must be a finite number"),
+    "in-list-nan": (
+        "eligibility", "eligibility: [{field: x1, op: in, value: [0, .nan]}]",
+        "eligibility[0]: value must be a list of finite numbers"),
     "target-nan": ("covariate_targets",
                    "covariate_targets: {x1: {arm0: .nan, arm1: 0.2}}",
                    "covariate_targets"),

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from trialemu import stratify_match
 from trialemu.cohort import TrialTarget
@@ -104,6 +106,30 @@ class TestBuckets:
             with pytest.raises(SchemaError):
                 replace(good, risks=risks, X=X)
 
+    @pytest.mark.parametrize("name", ["lambda_outcome", "lambda_covariate",
+                                      "lambda_distance"])
+    def test_problem_rejects_a_negative_or_non_finite_lambda(self, name):
+        good = make_problem([0.5], [0.5], (0.0, 1.0), (1,))
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0"):
+                replace(good, **{name: bad})
+        assert getattr(replace(good, **{name: 0.0}), name) == 0.0
+
+    def test_term_table_layout(self):
+        problem = golden_problem(**GOLDEN_PROBLEMS["three-buckets"])
+        assert problem.term_names == ("risk", "a", "b")
+        for s in (0, 1):
+            expected = np.column_stack([problem.risks[s], problem.X[s][:, :2]])
+            assert (problem.term_values[s] == expected).all()
+        # treated terms aim at the arm-1 means, untreated at the arm-0 means
+        risk = problem.risk_target
+        assert problem.term_targets[0].tolist() == [risk, 0.0, -0.1]
+        assert problem.term_targets[1].tolist() == [risk, 0.2, 0.5]
+        pooled = np.vstack(problem.distance_columns)
+        np.testing.assert_allclose(pooled.std(axis=0), 1.0, rtol=1e-12)
+        raw = np.vstack([X[:, :2] for X in problem.X])
+        np.testing.assert_allclose(pooled * raw.std(axis=0), raw, rtol=1e-12)
+
     def test_default_quotas_caps_when_target_attainable(self):
         # every untreated risk sits exactly on the target, so alpha = 1
         problem = make_problem(
@@ -184,6 +210,13 @@ class TestSolvers:
         problem = make_problem([0.2], [0.8], (0.0, 0.5, 1.0), (0, 0))
         sol = solve(problem, mode=mode)
         assert sol.pairs == () and sol.objective == 0.0
+
+    def test_a_problem_without_patients_solves_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = make_problem([], [], (0.0, 1.0), (0,), dist=("x",))
+            for mode in ("exact", "heuristic"):
+                assert solve(problem, mode=mode).pairs == ()
 
     def test_exact_prefers_close_pairs(self):
         # risks/targets identical everywhere; only pair distance differs,
@@ -365,6 +398,57 @@ def test_exact_achieved_means_follow_the_sorted_pairs():
         assert sol.achieved == _means_over_pairs(problem, sol.pairs)  # bitwise
 
 
+class _ProgramCaptured(Exception):
+    """Raised by the milp stand-in once it has digested the program."""
+
+
+def _capture_program(c, integrality, bounds, constraints, options):
+    """Stand-in for milp: a sha256 prefix of the cost, the integrality, the
+    bounds, the constraint matrix in canonical CSR form and its two sides,
+    raised as _ProgramCaptured instead of solving."""
+    A = sparse.csr_array(constraints.A)
+    A.sum_duplicates()
+    A.sort_indices()
+    digest = hashlib.sha256()
+    for array in (c, integrality, np.broadcast_to(bounds.lb, np.shape(c)),
+                  np.broadcast_to(bounds.ub, np.shape(c)), A.shape, A.indptr,
+                  A.indices, A.data, constraints.lb, constraints.ub):
+        digest.update(np.asarray(array, dtype=float).tobytes())
+    raise _ProgramCaptured(digest.hexdigest()[:16])
+
+
+# sha256 prefix of the arrays the exact solver hands to milp; a reordered
+# program that happens to reach an equal optimum shows here
+EXACT_PROGRAM_SHA256 = {
+    "small-0": "6f70d68e43c60690", "small-1": "165231f8eb4ddb42",
+    "small-2": "5826a99691b5ff29", "small-3": "2e09db496f2a4e19",
+    "small-4": "10b895cb3b71f867", "small-5": "92e447846d9bd0f2",
+    "small-6": "d6d604e2350f45a4", "small-7": "f6f223efa3c9abdf",
+    "small-8": "faa3a18675675cdf", "small-9": "2bcdfc4cda09d34e",
+    "small-10": "d5f0fd01c0672031", "small-11": "5c6c1f3ed6cc8178",
+    "small-12": "538f3d5b2a306d55", "small-13": "fb241b5d78244750",
+    "small-14": "7ad43ceb66a254b2",
+    "one-bucket": "d43f9d4b5b64b0be",
+    "one-bucket-no-distance": "075cf236ce7f8293",
+}
+
+
+def _exact_programs():
+    yield from ((f"small-{i}", p) for i, p in enumerate(small_instances()))
+    for name in ("one-bucket", "one-bucket-no-distance"):
+        yield name, golden_problem(**GOLDEN_PROBLEMS[name])
+
+
+def test_exact_program_is_pinned(monkeypatch):
+    monkeypatch.setattr(stratify_match, "milp", _capture_program)
+    digests = {}
+    for name, problem in _exact_programs():
+        with pytest.raises(_ProgramCaptured) as captured:
+            solve(problem, mode="exact")
+        digests[name] = str(captured.value)
+    assert digests == EXACT_PROGRAM_SHA256
+
+
 def _heur_state(problem):
     T, C = _bucket_members(problem)
     quotas = problem.buckets.quotas
@@ -373,10 +457,9 @@ def _heur_state(problem):
 
 
 def _side_values(problem, s, i):
-    """Patient i of side s (0 treated, 1 untreated): its risk, then its
-    targeted covariates."""
-    return [float(problem.risks[s][i])] + [
-        float(problem.X[s][i, c]) for c, _ in problem.target_columns()]
+    """Patient i of side s (0 treated, 1 untreated): its term table row, the
+    risk and then its targeted covariates."""
+    return problem.term_values[s][i].tolist()
 
 
 def _pair_distance(full, s, i, j):
